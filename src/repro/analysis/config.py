@@ -58,6 +58,8 @@ class CheckConfig:
     #: here silently re-interprets the menu row by row
     vectorization_paths: tuple[str, ...] = (
         "repro/core/intra_stage.py",
+        # the contention integrator: one call prices a whole iteration
+        "repro/execution/events.py",
     )
     #: modules allowed to import registry-decorated classes directly
     #: (everyone else dispatches by name through the registry)

@@ -34,7 +34,7 @@ from .events import ContentionSpec
 from .memory_tracker import OOMError, StageMemoryReport, track_stage_memory
 from .pipeline import PipelineResult, simulate_pipeline
 from .schedule import SCHEDULES, OverlapCapability, PhaseComponents, \
-    phase_wall_time
+    phase_wall_times
 
 __all__ = ["ExecutionEngine", "IterationResult", "OOMError"]
 
@@ -154,18 +154,11 @@ class ExecutionEngine:
         num_stages = plan.num_stages
         gacc = plan.gacc
         stage_memory: list[StageMemoryReport] = []
-        fwd_times: list[list[float]] = []
-        bwd_times: list[list[float]] = []
-        max_p2p_lat = 0.0
-        boundary = self._group_boundaries(plan)
-
         for idx, stage in enumerate(plan.stages):
             gcluster = self._stage_cluster(stage)
-            traced = self._traced(model, flash, gcluster)
-            fn = self._components_fn(model, flash, gcluster)
             report = track_stage_memory(
-                traced.graph, gcluster.gpu, stage,
-                stage_idx=idx, num_stages=num_stages,
+                self._traced(model, flash, gcluster).graph, gcluster.gpu,
+                stage, stage_idx=idx, num_stages=num_stages,
                 inflight=plan.inflight(idx), seq_len=seq_len,
                 runtime_overhead_bytes=self.capability.extra_memory_bytes,
             )
@@ -173,6 +166,14 @@ class ExecutionEngine:
             if check_memory and not report.fits:
                 raise OOMError(idx, report.peak, report.capacity)
 
+        # Only 4 phases per stage are distinct: the first microbatch's
+        # forward and the last one's backward carry the one-off extras.
+        phases: list[PhaseComponents] = []
+        max_p2p_lat = 0.0
+        boundary = self._group_boundaries(plan)
+        for idx, stage in enumerate(plan.stages):
+            gcluster = self._stage_cluster(stage)
+            fn = self._components_fn(model, flash, gcluster)
             env = self._stage_env(plan, idx, stage, seq_len, gcluster,
                                   crosses_groups=boundary[idx])
             values = [float(np.asarray(v).reshape(-1)[0]) for v in fn(**env)]
@@ -191,19 +192,16 @@ class ExecutionEngine:
                 d2h=comp["d2h_first"], h2d=comp["h2d_first"],
             )
             last_extra = PhaseComponents(dp=comp["dp_last"])
-
-            stage_fwd = []
-            stage_bwd = []
-            for k in range(gacc):
-                fwd_k = fwd + first_extra if k == 0 else fwd
-                bwd_k = bwd + last_extra if k == gacc - 1 else bwd
-                stage_fwd.append(phase_wall_time(fwd_k, self.capability,
-                                                 self.contention))
-                stage_bwd.append(phase_wall_time(bwd_k, self.capability,
-                                                 self.contention))
-            fwd_times.append(stage_fwd)
-            bwd_times.append(stage_bwd)
+            phases += [fwd + first_extra, fwd, bwd, bwd + last_extra]
             max_p2p_lat = max(max_p2p_lat, float(env["p2p_lat"][0]))
+
+        times = phase_wall_times(phases, self.capability, self.contention)
+        fwd_times: list[list[float]] = []
+        bwd_times: list[list[float]] = []
+        for idx in range(num_stages):
+            first_fwd, fwd_k, bwd_k, last_bwd = times[4 * idx:4 * idx + 4]
+            fwd_times.append([first_fwd] + [fwd_k] * (gacc - 1))
+            bwd_times.append([bwd_k] * (gacc - 1) + [last_bwd])
 
         pipeline = simulate_pipeline(fwd_times, bwd_times,
                                      p2p_delay=max_p2p_lat)

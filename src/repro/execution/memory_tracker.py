@@ -75,6 +75,28 @@ def _quantize_ratio(ratio: float, layers: int) -> float:
     return round(ratio * layers) / layers
 
 
+def _terms(graph: ModelGraph, b: int, s: int, tp: int) -> dict[str, float]:
+    """The ``(b, s, tp)``-dependent memory terms of ``graph``, evaluated
+    once per key and memoized on the graph."""
+    cache = graph.memo.setdefault(__name__, {})
+    key = (b, s, tp)
+    if key not in cache:
+        exprs = {"boundary": graph.boundary_activation_bytes,
+                 "block_ckpt": graph.block.ckpt_saved_bytes()}
+        for part in ("block", "pre", "post"):
+            layer = getattr(graph, part)
+            exprs.update({
+                f"{part}_params": layer.param_count,
+                f"{part}_saved": layer.saved_activation_bytes(),
+                f"{part}_fwd": forward_transient(layer),
+                f"{part}_bwd": backward_transient(layer),
+            })
+        env = {"b": b, "s": s, "tp": tp}
+        cache[key] = {name: float(evaluate(expr, env))
+                      for name, expr in exprs.items()}
+    return cache[key]
+
+
 def track_stage_memory(graph: ModelGraph, gpu: GPUSpec, stage: StageConfig,
                        *, stage_idx: int, num_stages: int, inflight: int,
                        seq_len: int,
@@ -84,18 +106,17 @@ def track_stage_memory(graph: ModelGraph, gpu: GPUSpec, stage: StageConfig,
     ``runtime_overhead_bytes`` is extra memory pinned by the executing
     system's runtime (beyond the common framework overhead).
     """
-    env = {"b": stage.microbatch, "s": seq_len, "tp": stage.tp}
-    block, pre, post = graph.block, graph.pre, graph.post
+    terms = _terms(graph, stage.microbatch, seq_len, stage.tp)
     has_pre = stage_idx == 0
     has_post = stage_idx == num_stages - 1
 
     # -- parameter/grad/optimizer state bytes on this rank -------------------
-    block_params = float(evaluate(block.param_count, env))
+    block_params = terms["block_params"]
     param_elems = stage.layers * block_params
     if has_pre:
-        param_elems += float(evaluate(pre.param_count, env))
+        param_elems += terms["pre_params"]
     if has_post:
-        param_elems += float(evaluate(post.param_count, env))
+        param_elems += terms["post_params"]
 
     z1, z2, z3 = stage.zero_flags
     dp = stage.dp
@@ -121,30 +142,27 @@ def track_stage_memory(graph: ModelGraph, gpu: GPUSpec, stage: StageConfig,
     opt_states = o32 * z1_frac * (1 - oo) + opt_buf
 
     # -- activations -----------------------------------------------------------
-    saved_full = float(evaluate(block.saved_activation_bytes(), env))
-    saved_ckpt = float(evaluate(block.ckpt_saved_bytes(), env))
+    saved_full, saved_ckpt = terms["block_saved"], terms["block_ckpt"]
     saved_block = (stage.layers - stage.ckpt) * saved_full \
         + stage.ckpt * saved_ckpt
     saved_edges = 0.0
     if has_pre:
-        saved_edges += float(evaluate(pre.saved_activation_bytes(), env))
+        saved_edges += terms["pre_saved"]
     if has_post:
-        saved_edges += float(evaluate(post.saved_activation_bytes(), env))
-    boundary = float(evaluate(graph.boundary_activation_bytes, env))
+        saved_edges += terms["post_saved"]
     activations = inflight * ((1 - ao) * saved_block + saved_edges) \
-        + 2 * boundary
+        + 2 * terms["boundary"]
 
     # -- transients --------------------------------------------------------------
-    t_fwd = float(evaluate(forward_transient(block), env))
-    t_bwd = float(evaluate(backward_transient(block), env))
+    t_fwd, t_bwd = terms["block_fwd"], terms["block_bwd"]
     if stage.ckpt > 0:
         t_bwd += saved_full - saved_ckpt
     if has_pre:
-        t_fwd = max(t_fwd, float(evaluate(forward_transient(pre), env)))
-        t_bwd = max(t_bwd, float(evaluate(backward_transient(pre), env)))
+        t_fwd = max(t_fwd, terms["pre_fwd"])
+        t_bwd = max(t_bwd, terms["pre_bwd"])
     if has_post:
-        t_fwd = max(t_fwd, float(evaluate(forward_transient(post), env)))
-        t_bwd = max(t_bwd, float(evaluate(backward_transient(post), env)))
+        t_fwd = max(t_fwd, terms["post_fwd"])
+        t_bwd = max(t_bwd, terms["post_bwd"])
     transient = max(t_fwd, t_bwd)
 
     # Fragmentation slack applies to the churning allocations

@@ -21,13 +21,14 @@ Mist's extra machinery costs a small compute overhead
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .events import ContentionSpec, corun_total_time
 
 __all__ = ["PhaseComponents", "OverlapCapability", "SCHEDULES", "phase_wall_time",
-           "MIST_IMPL_OVERHEAD"]
+           "phase_wall_times", "MIST_IMPL_OVERHEAD"]
 
 #: relative compute overhead of Mist's orchestrated execution engine
 MIST_IMPL_OVERHEAD = 0.015
@@ -93,14 +94,9 @@ SCHEDULES: dict[str, OverlapCapability] = {
 }
 
 
-def phase_wall_time(components: PhaseComponents, capability: OverlapCapability,
-                    contention: ContentionSpec) -> float:
-    """Wall-clock duration of one phase under ``capability``.
-
-    TP all-reduces always serialize with compute (dependent kernels);
-    overlappable components co-run through the contention integrator;
-    non-overlappable ones are added serially.
-    """
+def _split(components: PhaseComponents, capability: OverlapCapability
+           ) -> tuple[list[float], float]:
+    """Per-channel busy seconds that co-run, and the serial remainder."""
     comp = components.comp * (1.0 + capability.impl_overhead) + components.tp
     g2g = 0.0
     serial = 0.0
@@ -117,5 +113,25 @@ def phase_wall_time(components: PhaseComponents, capability: OverlapCapability,
     else:
         serial += components.h2d + components.d2h
         c2g = g2c = 0.0
-    overlapped = corun_total_time(np.array([comp, g2g, c2g, g2c]), contention)
-    return float(overlapped) + serial
+    return [comp, g2g, c2g, g2c], serial
+
+
+def phase_wall_times(phases: Sequence[PhaseComponents],
+                     capability: OverlapCapability,
+                     contention: ContentionSpec) -> list[float]:
+    """Wall-clock durations of ``phases`` under ``capability``.
+
+    TP all-reduces always serialize with compute (dependent kernels);
+    overlappable components co-run through the contention integrator,
+    in one call for all phases; non-overlappable ones are added serially.
+    """
+    split = [_split(p, capability) for p in phases]
+    overlapped = corun_total_time(np.array([row for row, _ in split]),
+                                  contention)
+    return [float(t) + serial for t, (_, serial) in zip(overlapped, split)]
+
+
+def phase_wall_time(components: PhaseComponents, capability: OverlapCapability,
+                    contention: ContentionSpec) -> float:
+    """Wall-clock duration of one phase under ``capability``."""
+    return phase_wall_times([components], capability, contention)[0]

@@ -8,7 +8,7 @@ multiplied symbolically by the per-stage layer count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.symbolic import Expr
 
@@ -28,6 +28,10 @@ class ModelGraph:
     pre: LayerGraph
     block: LayerGraph
     post: LayerGraph
+    #: values derived from this graph's expressions, memoized by the
+    #: module that derives them; lives and dies with the graph
+    memo: dict = field(default_factory=dict, init=False, repr=False,
+                       compare=False)
 
     @property
     def boundary_activation_bytes(self) -> Expr:

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import re
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,10 @@ class TestHealthAndMetrics:
         health = client.health()
         assert health["status"] == "ok"
         assert health["version"] == repro.__version__
+        pyproject = (Path(__file__).resolve().parents[2]
+                     / "pyproject.toml").read_text()
+        assert re.search(r'(?m)^version\s*=\s*"([^"]+)"',
+                         pyproject).group(1) == health["version"]
         assert "mist" in health["solvers"]
         assert health["workers"] == 2
 
