@@ -59,7 +59,7 @@ from .hardware import (
 from .models import ModelConfig, get_model, list_models
 from . import api
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
 __all__ = [
     "ClusterSpec",

@@ -4,9 +4,11 @@ Tuning is deterministic for a given :class:`~repro.api.job.TuningJob`,
 so a solved report can be reused by any later process that submits an
 equivalent job (``parallelism`` differences excluded — they change
 speed, not the answer). Entries are one JSON file per
-``(solver, job.fingerprint())`` pair under a root directory taken from,
-in order: the constructor argument, ``$REPRO_PLAN_CACHE``, or
-``~/.cache/repro/plans``.
+``(solver, job.fingerprint(), calibration)`` triple under a root
+directory taken from, in order: the constructor argument,
+``$REPRO_PLAN_CACHE``, or ``~/.cache/repro/plans``. ``calibration`` is
+a digest of the committed interference calibration table, so a
+refreshed table never serves a plan priced with the old factors.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from __future__ import annotations
 import os
 import threading
 from pathlib import Path
+
+from repro.costmodel.calibration import calibration_digest
 
 from .job import TuningJob
 from .report import SolveReport
@@ -39,12 +43,14 @@ class PlanCache:
 
     def __init__(self, root: "str | Path | None" = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
+        #: calibration identity every entry of this cache is keyed under
+        self.calibration = calibration_digest()
 
     def path_for(self, job: TuningJob, solver: str) -> Path:
         return self.path_for_fingerprint(job.fingerprint(), solver)
 
     def path_for_fingerprint(self, fingerprint: str, solver: str) -> Path:
-        return self.root / f"{solver}-{fingerprint}.json"
+        return self.root / f"{solver}-{fingerprint}-{self.calibration}.json"
 
     def load(self, job: TuningJob, solver: str) -> SolveReport | None:
         """The cached report, or ``None`` on miss/corruption."""

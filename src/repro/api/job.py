@@ -71,7 +71,7 @@ class TuningJob:
     flash: bool = True
     space: str | dict = "mist"
     scale: str | dict = "quick"
-    #: "auto" fits the interference model to the cluster fabric;
+    #: "auto" uses the committed calibration of the cluster fabric;
     #: "none" disables interference-aware prediction
     interference: str = "auto"
     #: worker threads for the outer (S, G) search; 1 = serial,

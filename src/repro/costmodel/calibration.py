@@ -10,19 +10,39 @@ discrete-event execution engine's contention resolver
 (:func:`repro.execution.events.corun_total_time`) plays the role of the
 hardware. The fit optimizes the 12 pairwise slowdown factors so that
 Algorithm 1's predictions match the oracle on sampled co-run workloads.
+
+The fit runs offline: its result is committed as data in
+``calibration.json`` (one table per fabric) by
+``scripts/refresh_calibration.py``, and solves load that table rather
+than refitting. A refit must reproduce it bit for bit
+(``tests/costmodel/test_calibration_table.py``).
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import lru_cache
+from pathlib import Path
+from typing import Callable, Mapping
 
 import numpy as np
 from scipy import optimize
 
 from .interference import CHANNELS, InterferenceModel
 
-__all__ = ["CalibrationResult", "sample_corun_workloads", "fit_interference_model"]
+__all__ = [
+    "CALIBRATION_TABLE",
+    "CalibrationResult",
+    "calibration_digest",
+    "calibration_table",
+    "fabric",
+    "fit_interference_model",
+    "model_from_table",
+    "render_table",
+    "sample_corun_workloads",
+]
 
 Oracle = Callable[[np.ndarray], np.ndarray]
 """Maps an (N, 4) array of channel busy-times to N measured totals."""
@@ -87,3 +107,51 @@ def fit_interference_model(oracle: Oracle, *, pcie_only: bool,
         max_abs_error=float(rel_err.max()),
         n_samples=n_samples,
     )
+
+
+# -- calibration as data --------------------------------------------------
+
+#: the committed fit: per fabric, the 12 clamped pair factors in
+#: :meth:`InterferenceModel.pair_vector` order plus ``max_factor``
+CALIBRATION_TABLE = Path(__file__).with_name("calibration.json")
+
+
+def fabric(pcie_only: bool) -> str:
+    """The table key of one fabric type."""
+    return "pcie" if pcie_only else "nvlink"
+
+
+@lru_cache(maxsize=1)
+def calibration_table() -> dict:
+    """The parsed committed table, read once per process (read-only)."""
+    return json.loads(CALIBRATION_TABLE.read_text())
+
+
+@lru_cache(maxsize=1)
+def calibration_digest() -> str:
+    """Short content digest of the committed table (plan-cache identity)."""
+    canonical = json.dumps(calibration_table(), sort_keys=True)
+    return hashlib.sha256(canonical.encode()).hexdigest()[:12]
+
+
+def model_from_table(entry: Mapping) -> InterferenceModel:
+    """Rebuild one fabric's model from its table entry."""
+    pairs = {frozenset(pair.split("+")): factors
+             for pair, factors in entry["pairs"].items()}
+    return InterferenceModel.from_pairs(pairs,
+                                        max_factor=entry["max_factor"])
+
+
+def render_table(models: Mapping[str, InterferenceModel]) -> str:
+    """The table's file text: fabrics sorted, pairs in ``pair_vector()``
+    order, every factor its exact ``repr``."""
+    table: dict[str, dict] = {}
+    for name in sorted(models):
+        pairs: dict[str, dict[str, float]] = {}
+        keys, values = models[name].pair_vector()
+        for (names, channel), value in zip(keys, values):
+            pair = "+".join(ch for ch in CHANNELS if ch in names)
+            pairs.setdefault(pair, {})[channel] = float(value)
+        table[name] = {"max_factor": float(models[name].max_factor),
+                       "pairs": pairs}
+    return json.dumps(table, indent=2) + "\n"

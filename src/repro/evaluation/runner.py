@@ -13,9 +13,12 @@ existing benchmarks. Multi-system comparisons go through
 :mod:`repro.campaigns` — :func:`compare_systems` is a one-workload
 campaign — so local and ``repro serve`` runs share one code path.
 
-Interference models are calibrated once per fabric type (PCIe vs
-NVLink) against the engine's contention ground truth and cached for the
-process lifetime.
+Interference models come from the committed per-fabric calibration
+table (``repro/costmodel/calibration.json``), loaded once per process.
+:func:`fit_calibration` is the table's generator — Algorithm 1's fit
+against the engine's contention ground truth — and runs only in
+``scripts/refresh_calibration.py`` and the refit guard test, never in
+a solve.
 """
 
 from __future__ import annotations
@@ -26,7 +29,12 @@ from functools import lru_cache
 
 from repro.core import SPACE_MIST, SearchSpace, TrainingPlan
 from repro.core.spaces import space_ref
-from repro.costmodel import InterferenceModel, fit_interference_model
+from repro.costmodel import (
+    CalibrationResult,
+    InterferenceModel,
+    fit_interference_model,
+)
+from repro.costmodel.calibration import calibration_table, fabric, model_from_table
 from repro.execution import ContentionSpec, IterationResult, make_oracle
 
 from .workloads import TuningScale, WorkloadSpec, current_scale, scale_ref
@@ -35,6 +43,7 @@ __all__ = [
     "SystemOutcome",
     "Comparison",
     "calibrated_interference",
+    "fit_calibration",
     "run_mist",
     "run_baseline",
     "run_via_service",
@@ -91,11 +100,18 @@ def __getattr__(name: str):
 
 @lru_cache(maxsize=4)
 def calibrated_interference(pcie_only: bool) -> InterferenceModel:
-    """Fit Algorithm 1's factors to the engine's contention ground truth."""
+    """Algorithm 1's committed factors for one fabric type."""
+    return model_from_table(calibration_table()[fabric(pcie_only)])
+
+
+def fit_calibration(pcie_only: bool) -> CalibrationResult:
+    """Fit Algorithm 1's factors to the engine's contention ground truth.
+
+    The generator of the committed table; solves never call it.
+    """
     spec = ContentionSpec.default(pcie_only=pcie_only)
-    result = fit_interference_model(make_oracle(spec), pcie_only=pcie_only,
-                                    n_samples=192)
-    return result.model
+    return fit_interference_model(make_oracle(spec), pcie_only=pcie_only,
+                                  n_samples=192)
 
 
 @dataclass
