@@ -31,7 +31,7 @@ SIMULATION_SECONDS_PER_CONFIG = 6.0
 def _measure():
     scale = current_scale()
     spec = fig16_spec(scale.name)
-    mist = measure_fig16(scale, prune=True, parallel_rerun=True)
+    mist = measure_fig16(scale, "pruned", parallel_rerun=True)
 
     times = {name: entry["seconds"]
              for name, entry in mist["per_space"].items()}

@@ -8,9 +8,10 @@ One invocation produces a ``BENCH_4.json`` document::
       "environment": {"python": ..., "platform": ..., "cpu_count": ...,
                       "version": ...},
       "benchmarks": {
-        "fig16_tuning_time":          {... pruned search, vectorized ...},
-        "fig16_exhaustive_reference": {... exhaustive search path ...},
-        "fig16_interpreted_engine":   {... pruned search, interpreted ...},
+        "fig16_tuning_time":          {... the production search ...},
+        "fig16_exhaustive_reference": {... repro.reference exhaustive ...},
+        "fig16_interpreted_engine":   {... production search, interpreted
+                                       cost model (repro.reference) ...},
         "fig_replan":                 {... warm-vs-cold replan pass ...}
       },
       "derived": {
@@ -82,11 +83,11 @@ def run_bench(scale_name: str = "smoke", *,
     scale = get_scale(scale_name)
     benchmarks: dict[str, dict] = {}
     benchmarks[PRIMARY_BENCH] = measure_fig16(
-        scale, prune=True, parallel_rerun=True)
+        scale, "pruned", parallel_rerun=True)
     derived: dict = {}
     pruned = benchmarks[PRIMARY_BENCH]
     if include_exhaustive:
-        benchmarks[REFERENCE_BENCH] = measure_fig16(scale, prune=False)
+        benchmarks[REFERENCE_BENCH] = measure_fig16(scale, "exhaustive")
         reference = benchmarks[REFERENCE_BENCH]
         derived["fig16_speedup"] = (
             reference["wall_time_seconds"] / pruned["wall_time_seconds"]
@@ -96,8 +97,7 @@ def run_bench(scale_name: str = "smoke", *,
             pruned["plan_hashes"] == reference["plan_hashes"]
         )
     if include_interpreted:
-        benchmarks[INTERPRETED_BENCH] = measure_fig16(
-            scale, prune=True, engine="interpreted")
+        benchmarks[INTERPRETED_BENCH] = measure_fig16(scale, "interpreted")
         interpreted = benchmarks[INTERPRETED_BENCH]
         derived["fig16_engine_speedup"] = (
             interpreted["wall_time_seconds"] / pruned["wall_time_seconds"]
@@ -172,7 +172,7 @@ def validate_bench(result: dict) -> list[str]:
     stats = pruned.get("stats", {})
     if stats.get("cells_pruned", 0) <= 0:
         problems.append("branch-and-bound pruned no (S, G) cell — the "
-                        "engine silently fell back to exhaustive search")
+                        "search silently fell back to exhaustive search")
     if stats.get("configs_prefiltered", 0) <= 0:
         problems.append("memory pre-filter rejected no configuration")
     memo_hits = stats.get("memo_hits", 0)
@@ -335,13 +335,13 @@ def format_bench(result: dict) -> str:
 
 def main_check(current: dict, baseline: dict | None, *,
                max_regression: float = 0.25,
-               min_engine_speedup: float = 0.0,
+               min_interpreted_speedup: float = 0.0,
                min_warm_speedup: float = 0.0, out=None) -> int:
     """Apply all gates; print verdicts; return a process exit code."""
     out = out if out is not None else sys.stdout
     problems = validate_bench(current)
     problems += check_engine_speedup(current,
-                                     min_speedup=min_engine_speedup)
+                                     min_speedup=min_interpreted_speedup)
     problems += check_warm_speedup(current, min_speedup=min_warm_speedup)
     if baseline is not None:
         problems += check_against_baseline(

@@ -3,9 +3,9 @@
 The paper's claim (§5.3, Fig. 16) is that Mist's hierarchical search
 stays tractable as the search space grows. This module measures our
 tuner over the same incremental spaces on a scale-appropriate workload,
-through either the prune-and-memoize engine (``prune=True``) or the
-exhaustive reference path, and reports wall time, search counters, and
-a deterministic hash of every space's winning plan.
+through the production search or one of the :mod:`repro.reference`
+oracles, and reports wall time, search counters, and a deterministic
+hash of every space's winning plan.
 
 Both ``benchmarks/test_fig16_tuning_time.py`` and the ``repro bench``
 CLI harness call into here, so the pytest benchmark and the CI perf
@@ -19,10 +19,16 @@ import time
 
 from repro.core import INCREMENTAL_SPACES, MenuMemo, MistTuner
 from repro.core.plan import TrainingPlan
+from repro.core.tuner import TuningResult
 from repro.evaluation import WorkloadSpec, calibrated_interference
 from repro.evaluation.workloads import TuningScale
 
-__all__ = ["fig16_spec", "measure_fig16", "plan_hash"]
+__all__ = ["SEARCHES", "fig16_spec", "measure_fig16", "plan_hash"]
+
+#: the searches a measurement can time: the production search, the
+#: exhaustive oracle, and the production search on the interpreted
+#: (row-by-row) cost model
+SEARCHES = ("pruned", "exhaustive", "interpreted")
 
 
 def plan_hash(plan: "TrainingPlan | None") -> str | None:
@@ -53,9 +59,29 @@ def _make_tuner(spec: WorkloadSpec, scale: TuningScale, space,
     )
 
 
-def measure_fig16(scale: TuningScale, *, prune: bool = True,
-                  parallel_rerun: bool = False,
-                  engine: str = "vectorized") -> dict:
+def _run_search(tuner: MistTuner, global_batch: int, search: str, *,
+                memo: MenuMemo, parallelism: int = 1) -> TuningResult:
+    """Run the named search (one of :data:`SEARCHES`) on ``tuner``.
+
+    The exhaustive oracle is serial and memo-free, so it ignores
+    ``memo`` and ``parallelism``.
+    """
+    if search not in SEARCHES:
+        raise ValueError(
+            f"unknown search {search!r}; expected one of {list(SEARCHES)}")
+    # imported here so loading repro.benchmarking (as the CLI does)
+    # keeps the oracles off the production path
+    from repro import reference
+
+    if search == "exhaustive":
+        return reference.exhaustive_search(tuner, global_batch)
+    if search == "interpreted":
+        tuner = reference.interpreted(tuner)
+    return tuner.search(global_batch, parallelism=parallelism, memo=memo)
+
+
+def measure_fig16(scale: TuningScale, search: str = "pruned", *,
+                  parallel_rerun: bool = False) -> dict:
     """Tune the Fig. 16 workload over every incremental space.
 
     Returns a JSON-ready dict::
@@ -65,13 +91,12 @@ def measure_fig16(scale: TuningScale, *, prune: bool = True,
          "plan_hashes": {name: hash-or-None},
          "parallel": {...} }            # only with parallel_rerun
 
-    ``prune`` selects the search path and ``engine`` the cost-model
-    evaluation path (``"vectorized"`` compiled numpy closures vs the
-    ``"interpreted"`` per-config reference); with ``parallel_rerun``
-    the widest space is searched once more with one worker per core
-    against the same menu memo — proving both that the fan-out returns
-    the identical plan and that the memo serves the repeated
-    subproblems (its ``memo_hits`` land in the ``parallel`` section).
+    ``search`` names the search to time (see :data:`SEARCHES`). With
+    ``parallel_rerun`` the widest space is searched once more with one
+    worker per core against the same menu memo — proving both that the
+    fan-out returns the identical plan and that the memo serves the
+    repeated subproblems (its ``memo_hits`` land in the ``parallel``
+    section).
     """
     spec = fig16_spec(scale.name)
     cluster = spec.cluster
@@ -88,8 +113,7 @@ def measure_fig16(scale: TuningScale, *, prune: bool = True,
     for space in INCREMENTAL_SPACES:
         tuner = _make_tuner(spec, scale, space, interference)
         start = time.perf_counter()
-        result = tuner.search(spec.global_batch, prune=prune, memo=memo,
-                              engine=engine)
+        result = _run_search(tuner, spec.global_batch, search, memo=memo)
         seconds = time.perf_counter() - start
         wall += seconds
         entry = {
@@ -108,8 +132,7 @@ def measure_fig16(scale: TuningScale, *, prune: bool = True,
 
     out = {
         "workload": spec.name,
-        "prune": prune,
-        "engine": engine,
+        "search": search,
         "wall_time_seconds": wall,
         "per_space": per_space,
         "stats": totals,
@@ -119,8 +142,8 @@ def measure_fig16(scale: TuningScale, *, prune: bool = True,
     if parallel_rerun and last is not None:
         tuner, serial = last
         start = time.perf_counter()
-        parallel = tuner.search(spec.global_batch, parallelism=0,
-                                prune=prune, memo=memo, engine=engine)
+        parallel = _run_search(tuner, spec.global_batch, search,
+                               memo=memo, parallelism=0)
         seconds = time.perf_counter() - start
         stats = parallel.stats.to_dict() if parallel.stats else {}
         out["parallel"] = {

@@ -95,7 +95,6 @@ from repro.hardware import (
     load_cluster,
 )
 from repro.models import get_model, list_models
-from repro.symbolic import ENGINES
 
 __all__ = ["main"]
 
@@ -123,12 +122,6 @@ def _add_solver_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--parallelism", type=int, default=1,
                         help="worker threads for the (S, G) search "
                              "(0 = one per core)")
-    parser.add_argument("--engine", choices=sorted(ENGINES),
-                        default="vectorized",
-                        help="cost-model evaluation engine: 'vectorized' "
-                             "compiled numpy closures (default) or the "
-                             "per-config 'interpreted' reference path "
-                             "(slow; bit-identical plans)")
     parser.add_argument("--cache-dir", metavar="DIR", default=None,
                         help="reuse/store solved plans in this directory")
     parser.add_argument("--json", metavar="FILE", default=None,
@@ -156,7 +149,6 @@ def _job(args) -> TuningJob:
         seq_len=args.seq_len, flash=not args.no_flash,
         space=args.space, scale=args.scale,
         parallelism=args.parallelism,
-        engine=getattr(args, "engine", "vectorized"),
     )
     cluster_file = getattr(args, "cluster", None)
     if cluster_file:
@@ -606,8 +598,9 @@ def _cmd_bench(args) -> int:
         return 0  # timing-only run: no gates to apply
     return main_check(result, baseline,
                       max_regression=args.max_regression,
-                      min_engine_speedup=(0.0 if args.no_interpreted
-                                          else args.min_engine_speedup),
+                      min_interpreted_speedup=(
+                          0.0 if args.no_interpreted
+                          else args.min_engine_speedup),
                       min_warm_speedup=(0.0 if args.no_replan
                                         else args.min_warm_speedup))
 

@@ -1,7 +1,7 @@
 """Keyed memoization of intra-stage tuning subproblems.
 
-The pruned search (:meth:`repro.core.tuner.MistTuner.search` with
-``prune=True``) evaluates many *stage-cost subproblems*: "the Pareto
+The tuner's search (:meth:`repro.core.tuner.MistTuner.search`)
+evaluates many *stage-cost subproblems*: "the Pareto
 menu of one stage shape (device group, GPU count, gradient-accumulation
 steps, in-flight microbatches, pre/post flags, p2p clamps) over a given
 layer-count range". Identical subproblems recur

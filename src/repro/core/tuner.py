@@ -17,9 +17,9 @@ Fig. 16): :meth:`MistTuner.search` fans the per-``(S, G)`` solves over a
 thread pool when ``parallelism > 1``, and merges results in enumeration
 order so the chosen plan is identical to the serial path.
 
-Pruning (Fig. 16's tractability claim): by default the search runs the
-**prune-and-memoize engine** instead of exhaustively solving every
-cell, while still returning bit-identical plans:
+Pruning (Fig. 16's tractability claim): the search does not solve
+every cell exhaustively. It prunes and memoizes, and still returns
+plans bit-identical to solving every cell:
 
 * a *memory-feasibility pre-filter* evaluates the symbolic peak-memory
   expressions alone and rejects over-budget configurations before any
@@ -41,8 +41,9 @@ cell, while still returning bit-identical plans:
 
 Explored/pruned/memo-hit counters are reported per search in
 :class:`SearchStats` (surfaced as ``SolveReport.search_stats`` and in
-the service ``/metrics``). ``prune=False`` restores the exhaustive
-reference path the property tests and `repro bench` compare against.
+the service ``/metrics``). The exhaustive search the property tests
+and ``repro bench`` compare against is
+:func:`repro.reference.exhaustive_search`.
 
 On a :class:`~repro.hardware.HeterogeneousCluster` the outer loop
 additionally enumerates stage -> device-group assignments
@@ -62,10 +63,6 @@ is solved first, every later cell prunes against the best solved
 objective, and per-device-group memo scoping keeps menus of unchanged
 groups warm — while returning a ``best_plan`` bit-identical to a cold
 :meth:`MistTuner.search` of the new cluster.
-
-Deprecation: :meth:`MistTuner.tune` (the pre-registry entry point) has
-emitted :class:`DeprecationWarning` since v1.1 and will be removed in
-v2.0 — use :meth:`MistTuner.search` or :func:`repro.api.solve`.
 """
 
 from __future__ import annotations
@@ -75,7 +72,6 @@ import math
 import os
 import threading
 import time
-import warnings
 from collections.abc import Callable, Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -85,7 +81,6 @@ import numpy as np
 from repro.costmodel.interference import InterferenceModel
 from repro.hardware import ClusterSpec, HeterogeneousCluster
 from repro.models.config import ModelConfig
-from repro.symbolic import validate_engine
 from repro.tracing import trace
 
 from . import inter_stage
@@ -128,14 +123,11 @@ class SearchStats:
     the telemetry that distinguishes replay from fresh work. Under a
     parallel pruned search the explored/pruned split may vary slightly
     run-to-run (incumbents arrive in timing-dependent order); the
-    returned plans never do. All counters are also independent of
-    ``engine`` — both evaluation paths score the same configurations.
+    returned plans never do. The counters are also identical under the
+    row-by-row reference evaluator (:func:`repro.reference.interpreted`):
+    both evaluation paths score the same configurations.
     """
 
-    #: False when the search ran the exhaustive reference path
-    prune: bool = True
-    #: cost-model evaluation path ("vectorized" or "interpreted")
-    engine: str = "vectorized"
     cells_total: int = 0
     cells_explored: int = 0
     #: cells skipped by the branch-and-bound cut
@@ -162,8 +154,6 @@ class SearchStats:
 
     def to_dict(self) -> dict:
         return {
-            "prune": self.prune,
-            "engine": self.engine,
             "cells_total": self.cells_total,
             "cells_explored": self.cells_explored,
             "cells_pruned": self.cells_pruned,
@@ -310,7 +300,8 @@ class MistTuner:
         # unchanged groups. Frozen-dataclass reprs spell out every
         # field, so two tuners share entries only when the group's cost
         # model is parameter-identical; false *misses* merely lose
-        # sharing.
+        # sharing. repro.reference.interpreted tags its copies' scopes,
+        # so reference searches never replay production menus.
         def _group_scope(analyzer: SymbolicPerformanceAnalyzer,
                          group_cluster: "ClusterSpec | HeterogeneousCluster",
                          ) -> tuple:
@@ -422,20 +413,17 @@ class MistTuner:
                verbose: bool = False, keep_top: int = 3,
                progress: "Callable[[int, int], None] | None" = None,
                should_stop: "Callable[[], bool] | None" = None,
-               prune: bool = True,
-               memo: MenuMemo | None = None,
-               engine: str = "vectorized") -> TuningResult:
+               memo: MenuMemo | None = None) -> TuningResult:
         """Solve the (S, G) grid and return the ranked outcome.
 
-        ``prune=True`` (the default) runs the prune-and-memoize engine:
-        memory-infeasible configurations are rejected symbolically
+        Memory-infeasible configurations are rejected symbolically
         before cost evaluation, cells whose optimistic lower bound
         exceeds the ``keep_top``-th best solved objective are skipped,
         and identical stage-cost subproblems are served from ``memo``
         (default: the process-wide
         :data:`~repro.core.memo.GLOBAL_MENU_MEMO`). The returned
         ``best_plan`` / ``top_plans`` / objectives are bit-identical to
-        ``prune=False``, which runs the exhaustive reference path.
+        solving every cell (:func:`repro.reference.exhaustive_search`).
 
         ``parallelism > 1`` fans the independent per-(S, G) solves over
         that many worker threads (``0`` means one per CPU core); results
@@ -449,92 +437,19 @@ class MistTuner:
         :class:`SearchCancelled`, discarding partial results. Both hooks
         exist for long-running callers (the ``repro serve`` daemon) that
         need liveness and cancellation.
-
-        ``engine`` selects the cost-model evaluation path:
-        ``"vectorized"`` (the default) evaluates whole config menus
-        through the compiled numpy closures; ``"interpreted"`` walks
-        the raw expression trees one configuration at a time. Returned
-        plans, objectives and work counters are bit-identical across
-        engines — the interpreted path exists as the slow reference the
-        differential tests compare against.
         """
-        engine = validate_engine(engine)
-        if prune:
-            return self._search_pruned(
-                global_batch, parallelism=parallelism, verbose=verbose,
-                keep_top=keep_top, progress=progress,
-                should_stop=should_stop,
-                memo=memo if memo is not None else GLOBAL_MENU_MEMO,
-                engine=engine,
-            )
-        start = time.perf_counter()
-        grid = self._sg_grid(global_batch)
-        total = len(grid)
-        done_lock = threading.Lock()
-        done = [0]
-
-        def _solve_cell(task: tuple) -> tuple:
-            if should_stop is not None and should_stop():
-                raise SearchCancelled(
-                    f"search cancelled after {done[0]}/{total} cells")
-            solution = self._tune_pipeline(global_batch, *task, engine=engine)
-            with done_lock:
-                done[0] += 1
-                if progress is not None:
-                    progress(done[0], total)
-            return solution
-
-        workers = parallelism if parallelism > 0 else (os.cpu_count() or 1)
-        if workers > 1 and len(grid) > 1:
-            with ThreadPoolExecutor(
-                    max_workers=min(workers, len(grid))) as pool:
-                solutions = list(pool.map(_solve_cell, grid))
-        else:
-            solutions = [_solve_cell(task) for task in grid]
-
-        candidates: list[tuple[float, TrainingPlan]] = []
-        evaluated = 0
-        search_log: list[dict] = []
-        for (num_stages, _, gacc, _, assignment), (solution, n_evaluated) \
-                in zip(grid, solutions):
-            evaluated += n_evaluated
-            # infeasible cells log None, not inf — search logs must stay
-            # strictly JSON-serializable (SolveReport round-trip contract)
-            entry = {
-                "num_stages": num_stages,
-                "gacc": gacc,
-                "objective": float(solution.objective) if solution else None,
-            }
-            if assignment is not None:
-                entry["groups"] = [slot.group for slot in assignment]
-            search_log.append(entry)
-            if verbose:  # pragma: no cover - console aid
-                obj = entry["objective"]
-                print(f"  S={num_stages} G={gacc}: "
-                      + (f"{obj * 1e3:.1f} ms" if obj is not None
-                         else "infeasible"))
-            if solution:
-                candidates.append((
-                    solution.objective,
-                    self._plan_from_solution(solution, global_batch, gacc),
-                ))
-
-        candidates.sort(key=lambda item: item[0])
-        stats = SearchStats(
-            prune=False, engine=engine, cells_total=total,
-            cells_explored=total, configs_evaluated=evaluated,
-            bound_pruning=False,
+        return self._search(
+            global_batch, parallelism=parallelism, verbose=verbose,
+            keep_top=keep_top, progress=progress, should_stop=should_stop,
+            memo=memo if memo is not None else GLOBAL_MENU_MEMO,
         )
-        return self._result(candidates, global_batch, start, evaluated,
-                            search_log, keep_top, stats)
 
     def replan(self, global_batch: int, *, incumbent: TrainingPlan,
                parallelism: int = 1, verbose: bool = False,
                keep_top: int = 1,
                progress: "Callable[[int, int], None] | None" = None,
                should_stop: "Callable[[], bool] | None" = None,
-               memo: MenuMemo | None = None,
-               engine: str = "vectorized") -> TuningResult:
+               memo: MenuMemo | None = None) -> TuningResult:
         """Warm-started search for a changed cluster (elastic re-tuning).
 
         ``incumbent`` is the plan that was running before the cluster
@@ -562,12 +477,11 @@ class MistTuner:
           replay instead of recompute (pass the same ``memo`` the cold
           search used; counters stay deterministic either way).
         """
-        engine = validate_engine(engine)
-        return self._search_pruned(
+        return self._search(
             global_batch, parallelism=parallelism, verbose=verbose,
             keep_top=keep_top, progress=progress, should_stop=should_stop,
             memo=memo if memo is not None else GLOBAL_MENU_MEMO,
-            engine=engine, incumbent=incumbent,
+            incumbent=incumbent,
         )
 
     def _incumbent_cell(self, grid: list[tuple],
@@ -632,24 +546,23 @@ class MistTuner:
 
     # -- pruned search ------------------------------------------------------
 
-    def _search_pruned(self, global_batch: int, *, parallelism: int,
-                       verbose: bool, keep_top: int,
-                       progress: "Callable[[int, int], None] | None",
-                       should_stop: "Callable[[], bool] | None",
-                       memo: MenuMemo, engine: str = "vectorized",
-                       incumbent: TrainingPlan | None = None) -> TuningResult:
+    def _search(self, global_batch: int, *, parallelism: int,
+                verbose: bool, keep_top: int,
+                progress: "Callable[[int, int], None] | None",
+                should_stop: "Callable[[], bool] | None",
+                memo: MenuMemo,
+                incumbent: TrainingPlan | None = None) -> TuningResult:
         start = time.perf_counter()
         grid = self._sg_grid(global_batch)
         total = len(grid)
-        stats = SearchStats(cells_total=total, engine=engine)
+        stats = SearchStats(cells_total=total)
         # The bound argument needs every interference factor >= 1 (see
         # InterferenceModel.min_factor); a physically meaningless model
         # silently falls back to prefilter + memoization only.
         bound_ok = all(a.interference.min_factor() >= 1.0
                        for a in self.analyzers.values())
         stats.bound_pruning = bound_ok
-        bounds, feasible = self._cell_bounds(global_batch, grid,
-                                             engine=engine)
+        bounds, feasible = self._cell_bounds(global_batch, grid)
         seed_idx = None
         if incumbent is not None:
             # Warm start (replan): solve the incumbent plan's (S, G)
@@ -666,7 +579,7 @@ class MistTuner:
             }
         if seed_idx is None and self.hetero is None:
             seed_idx, seed_info = self._heuristic_seed(
-                global_batch, grid, feasible, engine=engine)
+                global_batch, grid, feasible)
             stats.seed = seed_info
         order = sorted(
             range(total),
@@ -695,8 +608,7 @@ class MistTuner:
                 solution, counts = self._tune_pipeline_memo(
                     global_batch, grid[idx], memo,
                     threshold=(incumbents.threshold() if bound_ok
-                               else math.inf),
-                    engine=engine)
+                               else math.inf))
                 if solution:
                     incumbents.offer(solution.objective)
                 outcomes[idx] = ("explored", solution, counts)
@@ -753,14 +665,13 @@ class MistTuner:
                 ))
 
         # ties resolve by enumeration order — the same order the stable
-        # sort of the exhaustive path preserves
+        # sort of the exhaustive reference preserves
         candidates.sort(key=lambda item: (item[0], item[1]))
         ranked = [(obj, plan) for obj, _, plan in candidates]
         return self._result(ranked, global_batch, start, evaluated,
                             search_log, keep_top, stats)
 
-    def _cell_bounds(self, global_batch: int, grid: list[tuple], *,
-                     engine: str = "vectorized",
+    def _cell_bounds(self, global_batch: int, grid: list[tuple],
                      ) -> tuple[list[float], list[bool]]:
         """Optimistic lower bound + feasibility flag per (S, G) cell.
 
@@ -771,7 +682,7 @@ class MistTuner:
         then composed through
         :func:`~repro.core.inter_stage.objective_lower_bound`. A cell
         with a slot that has no (dp, tp, b) option at all is flagged
-        infeasible (the exhaustive path would explore it and find
+        infeasible (an exhaustive search would explore it and find
         nothing).
         """
         slot_keys: set[tuple[str, int, int]] = set()
@@ -814,7 +725,7 @@ class MistTuner:
                 gacc=gacc_a, inflight=np.ones(n),
                 has_pre=np.zeros(n), has_post=np.zeros(n),
             )
-            comp = analyzer.compute_channel(env, engine=engine)
+            comp = analyzer.compute_channel(env)
             pos = 0
             for key, options in entries:
                 floor = math.inf
@@ -844,8 +755,7 @@ class MistTuner:
         return bounds, feasible
 
     def _heuristic_seed(self, global_batch: int, grid: list[tuple],
-                        feasible: list[bool], *,
-                        engine: str = "vectorized",
+                        feasible: list[bool],
                         ) -> "tuple[int | None, dict | None]":
         """Pick the cell a Megatron-style uniform layout prefers.
 
@@ -904,7 +814,7 @@ class MistTuner:
             gacc=gacc_a, inflight=inflight_a,
             has_pre=pre_a, has_post=post_a,
         )
-        pred = self.analyzer.predict(env, engine=engine)
+        pred = self.analyzer.predict(env)
         fits = pred.peak_mem <= self.analyzer.memory_budget
 
         best_idx, best_obj, best_gacc, best_stages = None, math.inf, 0, 0
@@ -966,15 +876,51 @@ class MistTuner:
             cut.append(filtered)
         return cut, removed
 
+    def _stage_shapes(self, task: tuple,
+                      ) -> "list[tuple[str, StageShape, list[int]]]":
+        """Each stage's ``(device group, shape, layer counts)`` in a cell.
+
+        The one place the in-flight microbatch count, the pre/post
+        flags and the p2p clamps of stages next to a device-group
+        boundary are derived — shared by the pruned search and
+        :func:`repro.reference.exhaustive_search`, so both price exactly
+        the same subproblems. Homogeneous cells are one-group
+        assignments (group ``""``), which never have a boundary.
+        """
+        num_stages, stage_gpus, gacc, layer_counts, assignment = task
+        if num_stages == 1:
+            layer_counts = [self.model.num_layers]
+        slots = (assignment if assignment is not None
+                 else (StageSlot("", stage_gpus),) * num_stages)
+        groups = [slot.group for slot in slots]
+        out = []
+        for idx, slot in enumerate(slots):
+            bandwidth_cap = latency_floor = None
+            boundary = (groups[max(idx - 1, 0)] != slot.group
+                        or groups[min(idx + 1, num_stages - 1)] != slot.group)
+            if boundary and self.hetero is not None:
+                bandwidth_cap = self.hetero.inter_group_bandwidth
+                latency_floor = self.hetero.inter_group_latency
+            shape = StageShape(
+                stage_gpus=slot.stage_gpus, gacc=gacc,
+                inflight=min(gacc, num_stages - idx),
+                has_pre=(idx == 0), has_post=(idx == num_stages - 1),
+                group=slot.group,
+                p2p_bandwidth_cap=bandwidth_cap,
+                p2p_latency_floor=latency_floor,
+            )
+            out.append((slot.group, shape, layer_counts))
+        return out
+
     def _tune_pipeline_memo(
             self, global_batch: int, task: tuple, memo: MenuMemo, *,
-            threshold: float = math.inf, engine: str = "vectorized",
+            threshold: float = math.inf,
     ) -> "tuple[inter_stage.InterStageSolution | None, _CellCounts]":
         """Solve one (S, G) cell through the memoized, prefiltered path.
 
         Returns ``(solution, _CellCounts)``. Results are bit-identical
-        to :meth:`_tune_pipeline`: the memo stores pure menus keyed by
-        the full subproblem fingerprint, and a hit replays the
+        to solving the cell from scratch: the memo stores pure menus
+        keyed by the full subproblem fingerprint, and a hit replays the
         evaluated/prefiltered counters its original computation
         recorded, keeping work accounting deterministic. A finite
         ``threshold`` additionally applies :meth:`_cut_menus` before
@@ -982,18 +928,14 @@ class MistTuner:
         are unaffected; a cell whose optimum is already worse may
         resolve to a (correctly ranked) weaker solution or ``None``.
         """
-        num_stages, stage_gpus, gacc, layer_counts, assignment = task
+        gacc = task[2]
         counts = _CellCounts()
         intra: dict[str, IntraStageTuner] = {}
         seen_in_cell: set[tuple] = set()
 
         def menus_for(group: str, shape: StageShape, lcounts: list[int],
                       ) -> dict[int, list[ParetoPoint]]:
-            # engine is part of the key: menus are bit-identical across
-            # engines, but replaying a vectorized entry under
-            # engine="interpreted" would let memo warmth mask exactly
-            # the divergence the differential tests exist to catch
-            key = (self._memo_scopes[group], engine, global_batch, shape,
+            key = (self._memo_scopes[group], global_batch, shape,
                    tuple(lcounts))
             entry = memo.lookup(key)
             if entry is None:
@@ -1004,7 +946,6 @@ class MistTuner:
                         self.analyzers[group], self.space,
                         global_batch=global_batch, seq_len=self.seq_len,
                         max_pareto_points=self.max_pareto_points,
-                        engine=engine,
                     )
                 before_eval = tuner.evaluated
                 before_pre = tuner.prefiltered
@@ -1018,45 +959,16 @@ class MistTuner:
             else:
                 counts.memo_hits += 1
             # count each unique subproblem once per cell — the same
-            # dedup the exhaustive path's per-cell shape cache applies,
-            # so explored cells report identical work either way
+            # dedup the exhaustive reference applies per cell, so
+            # explored cells report identical work either way
             if key not in seen_in_cell:
                 seen_in_cell.add(key)
                 counts.evaluated += entry.evaluated
                 counts.prefiltered += entry.prefiltered
             return entry.menus
 
-        menus = []
-        if assignment is None:
-            counts_for_stage = (layer_counts if num_stages > 1
-                                else [self.model.num_layers])
-            for idx in range(num_stages):
-                inflight = min(gacc, num_stages - idx)
-                shape = StageShape(
-                    stage_gpus=stage_gpus, gacc=gacc,
-                    inflight=inflight if num_stages > 1 else 1,
-                    has_pre=(idx == 0), has_post=(idx == num_stages - 1),
-                )
-                menus.append(menus_for("", shape, counts_for_stage))
-        else:
-            boundary = [False] * num_stages
-            for i in range(num_stages - 1):
-                if assignment[i].group != assignment[i + 1].group:
-                    boundary[i] = boundary[i + 1] = True
-            for idx, slot in enumerate(assignment):
-                inflight = min(gacc, num_stages - idx)
-                shape = StageShape(
-                    stage_gpus=slot.stage_gpus, gacc=gacc, inflight=inflight,
-                    has_pre=(idx == 0), has_post=(idx == num_stages - 1),
-                    group=slot.group,
-                    p2p_bandwidth_cap=(self.hetero.inter_group_bandwidth
-                                       if boundary[idx] else None),
-                    p2p_latency_floor=(self.hetero.inter_group_latency
-                                       if boundary[idx] else None),
-                )
-                stage_counts = (layer_counts if num_stages > 1
-                                else [self.model.num_layers])
-                menus.append(menus_for(slot.group, shape, stage_counts))
+        menus = [menus_for(group, shape, lcounts)
+                 for group, shape, lcounts in self._stage_shapes(task)]
 
         def _solve(stage_menus: list,
                    ) -> "inter_stage.InterStageSolution | None":
@@ -1072,7 +984,7 @@ class MistTuner:
         # or under the incumbent threshold it may enter the top-k, so
         # re-solve the *full* menus: the MILP's tie-breaking among
         # equal-objective optima depends on the exact model, and only
-        # the full-menu solution matches the exhaustive path bit for
+        # the full-menu solution matches the exhaustive search bit for
         # bit. Cells screened out (worse than the threshold, or
         # infeasible after the cut) are provably outside the top-k and
         # keep the cheap answer. The relative margin absorbs float
@@ -1085,132 +997,3 @@ class MistTuner:
                 screened.objective <= threshold * (1.0 + 1e-6):
             return _solve(menus), counts
         return screened, counts
-
-    def tune(self, global_batch: int, *, verbose: bool = False,
-             keep_top: int = 3) -> TuningResult:
-        """Deprecated alias for :meth:`search` (serial path).
-
-        Deprecated since v1.1 (the ``repro.api`` registry redesign);
-        scheduled for removal in v2.0. Call :meth:`search` or go
-        through :func:`repro.api.solve` — see the deprecation policy in
-        ``docs/API.md``.
-        """
-        warnings.warn(
-            "MistTuner.tune() is deprecated since v1.1 and will be removed "
-            "in v2.0; use MistTuner.search() or the repro.api solver "
-            "registry (repro.api.solve).",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self.search(global_batch, verbose=verbose, keep_top=keep_top)
-
-    # -- per-(S, G) solve ---------------------------------------------------------
-
-    def _tune_pipeline(
-            self, global_batch: int, num_stages: int,
-            stage_gpus: int, gacc: int,
-            layer_counts: list[int],
-            assignment: "tuple[StageSlot, ...] | None" = None,
-            *, engine: str = "vectorized",
-    ) -> "tuple[inter_stage.InterStageSolution | None, int]":
-        """Solve one (S, G) candidate (exhaustive reference path).
-
-        Returns ``(solution, evaluated)`` where ``evaluated`` is the
-        number of configurations the intra-stage tuner scored — each
-        call owns fresh :class:`IntraStageTuner`\\ s, so the method is
-        safe to run concurrently across (S, G) candidates. With an
-        ``assignment`` (heterogeneous clusters) each stage is tuned by
-        its device group's analyzer.
-        """
-        if assignment is not None:
-            return self._tune_pipeline_hetero(global_batch, gacc,
-                                              layer_counts, assignment,
-                                              engine=engine)
-        intra = IntraStageTuner(
-            self.analyzer, self.space, global_batch=global_batch,
-            seq_len=self.seq_len, max_pareto_points=self.max_pareto_points,
-            engine=engine,
-        )
-
-        if num_stages == 1:
-            shape = StageShape(stage_gpus=stage_gpus, gacc=gacc, inflight=1,
-                               has_pre=True, has_post=True)
-            menus = [intra.tune(shape, [self.model.num_layers])]
-            solution = inter_stage.solve(
-                menus, self.model.num_layers, gacc,
-                imbalance_aware=self.space.imbalance_aware,
-            )
-            return solution, intra.evaluated
-
-        # Stage positions with identical (inflight, pre, post) share menus.
-        menus = []
-        cache: dict[tuple, dict] = {}
-        for idx in range(num_stages):
-            inflight = min(gacc, num_stages - idx)
-            key = (inflight, idx == 0, idx == num_stages - 1)
-            if key not in cache:
-                shape = StageShape(
-                    stage_gpus=stage_gpus, gacc=gacc, inflight=inflight,
-                    has_pre=key[1], has_post=key[2],
-                )
-                cache[key] = intra.tune(shape, layer_counts)
-            menus.append(cache[key])
-        solution = inter_stage.solve(
-            menus, self.model.num_layers, gacc,
-            imbalance_aware=self.space.imbalance_aware,
-        )
-        return solution, intra.evaluated
-
-    def _tune_pipeline_hetero(
-            self, global_batch: int, gacc: int,
-            layer_counts: list[int],
-            assignment: "tuple[StageSlot, ...]",
-            *, engine: str = "vectorized",
-    ) -> "tuple[inter_stage.InterStageSolution | None, int]":
-        """Solve one heterogeneous (assignment, G) candidate.
-
-        Stage menus come from the analyzer of the stage's device group,
-        so every Pareto point is priced with that group's cost model
-        and filtered against that group's memory budget; stages
-        adjacent to a group boundary additionally price pipeline p2p
-        over the inter-group link (the same clamp the execution engine
-        applies). Stage positions sharing (group, gpus, inflight, pre,
-        post, boundary) share menus, mirroring the homogeneous cache.
-        """
-        num_stages = len(assignment)
-        intra = {
-            name: IntraStageTuner(
-                self.analyzers[name], self.space, global_batch=global_batch,
-                seq_len=self.seq_len,
-                max_pareto_points=self.max_pareto_points,
-                engine=engine,
-            )
-            for name in {slot.group for slot in assignment}
-        }
-        boundary = [False] * num_stages
-        for i in range(num_stages - 1):
-            if assignment[i].group != assignment[i + 1].group:
-                boundary[i] = boundary[i + 1] = True
-        menus = []
-        cache: dict[tuple, dict] = {}
-        for idx, slot in enumerate(assignment):
-            inflight = min(gacc, num_stages - idx)
-            key = (slot.group, slot.stage_gpus, inflight,
-                   idx == 0, idx == num_stages - 1, boundary[idx])
-            if key not in cache:
-                shape = StageShape(
-                    stage_gpus=slot.stage_gpus, gacc=gacc, inflight=inflight,
-                    has_pre=key[3], has_post=key[4], group=slot.group,
-                    p2p_bandwidth_cap=(self.hetero.inter_group_bandwidth
-                                       if boundary[idx] else None),
-                    p2p_latency_floor=(self.hetero.inter_group_latency
-                                       if boundary[idx] else None),
-                )
-                counts = (layer_counts if num_stages > 1
-                          else [self.model.num_layers])
-                cache[key] = intra[slot.group].tune(shape, counts)
-            menus.append(cache[key])
-        solution = inter_stage.solve(
-            menus, self.model.num_layers, gacc,
-            imbalance_aware=self.space.imbalance_aware,
-        )
-        return solution, sum(t.evaluated for t in intra.values())

@@ -93,20 +93,26 @@ class InterferenceModel:
     @classmethod
     def from_pairs(cls, pairs: dict[frozenset[str], dict[str, float]],
                    max_factor: float = 2.6) -> "InterferenceModel":
-        """Build all 2/3/4-way factors from pairwise ones (capped products)."""
+        """Build all 2/3/4-way factors from pairwise ones (capped products).
+
+        Factors multiply in :data:`CHANNELS` order, not in the set's
+        iteration order: the latter follows the string hash seed, and
+        float products are not associative, so the 3- and 4-way factors
+        (and :meth:`fingerprint`) would differ from process to process.
+        """
         factors: dict[frozenset[str], dict[str, float]] = {}
         for combo_idx in _COMBOS:
-            names = frozenset(CHANNELS[i] for i in combo_idx)
+            channels = [CHANNELS[i] for i in combo_idx]
             entry: dict[str, float] = {}
-            for ch in names:
+            for ch in channels:
                 product = 1.0
-                for other in names:
+                for other in channels:
                     if other == ch:
                         continue
                     pair = pairs.get(frozenset((ch, other)), {})
                     product *= pair.get(ch, 1.0)
                 entry[ch] = min(product, max_factor)
-            factors[names] = entry
+            factors[frozenset(channels)] = entry
         return cls(factors=factors, max_factor=max_factor)
 
     @classmethod

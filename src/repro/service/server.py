@@ -516,7 +516,7 @@ class TuningService:
             else:
                 self.metrics.inc("solver_invocations")
                 self.metrics.observe_solve(time.perf_counter() - start)
-                # surface the prune-and-memoize engine's counters
+                # surface the prune-and-memoize search's counters
                 self.metrics.observe_search(
                     getattr(report, "search_stats", {}) or {})
             self._finish_flight(flight)

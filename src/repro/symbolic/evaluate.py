@@ -45,28 +45,11 @@ from .expr import (
 ArrayLike = Union[int, float, np.ndarray]
 
 __all__ = [
-    "ENGINES",
     "evaluate",
     "compile_expr",
     "CompiledExpr",
     "EvaluationError",
-    "validate_engine",
 ]
-
-#: Recognised cost-model evaluation engines. ``vectorized`` runs the
-#: compiled numpy closures over whole config menus at once; ``interpreted``
-#: walks the raw expression trees one config at a time and exists as the
-#: reference path for differential testing.
-ENGINES = ("vectorized", "interpreted")
-
-
-def validate_engine(engine: str) -> str:
-    """Return ``engine`` if it names a known evaluation engine."""
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of {list(ENGINES)}"
-        )
-    return engine
 
 
 class EvaluationError(RuntimeError):
@@ -168,14 +151,11 @@ class CompiledExpr:
     symbol set) can consult it to build only the needed columns; the
     unused arguments may be passed as anything cheap (``0.0``).
 
-    Two evaluation entry points share the argument contract:
-
-    * ``__call__`` — the vectorized path: one pass of the generated numpy
-      statements over the whole env (scalars or arrays, broadcasting).
-    * :meth:`interpret` — the per-config reference path: walks the raw
-      expression trees row by row through :func:`evaluate`. Slow by
-      design; it anchors the differential tests proving the vectorized
-      path is bit-identical.
+    ``exprs`` keeps the raw expression trees the bundle was compiled
+    from; :func:`repro.reference.interpret` walks them row by row as the
+    reference the vectorized path is differentially tested against.
+    ``single`` is True when the bundle was compiled from one bare
+    expression, so calls return a value rather than a tuple.
     """
 
     def __init__(self, func: Callable, arg_names: tuple[str, ...], n_outputs: int,
@@ -190,53 +170,14 @@ class CompiledExpr:
         self.used_symbols = (frozenset(arg_names) if used_symbols is None
                              else used_symbols)
         self.exprs = exprs
-        self._single = n_outputs == 1 if single is None else single
+        self.single = n_outputs == 1 if single is None else single
 
-    def _check_env(self, env: Mapping[str, ArrayLike]) -> None:
+    def __call__(self, **env: ArrayLike) -> Any:
         missing = [name for name in self.arg_names if name not in env]
         if missing:
             raise EvaluationError(f"missing symbol values: {missing}")
-
-    def __call__(self, **env: ArrayLike) -> Any:
-        self._check_env(env)
         args = [env[name] for name in self.arg_names]
         return self._func(*args)
-
-    def interpret(self, **env: ArrayLike) -> Any:
-        """Evaluate via the per-row interpreted reference path.
-
-        Each row of the (broadcast) environment is evaluated as an
-        independent scalar query against the raw expression trees.  The
-        result matches ``__call__`` bit for bit — numpy's elementwise
-        ufuncs produce identical IEEE-754 results whether applied to one
-        element or a million — which is exactly the property the
-        differential test harness asserts.
-        """
-        self._check_env(env)
-        if not self.exprs:
-            raise EvaluationError(
-                "interpret() needs the raw expression trees; this "
-                "CompiledExpr was built without them")
-        used = {name: np.asarray(env[name], dtype=float)
-                for name in self.arg_names if name in self.used_symbols}
-        shapes = [value.shape for value in used.values()]
-        shape = np.broadcast_shapes(*shapes) if shapes else ()
-        if shape == ():
-            scalar_env = {name: float(value) for name, value in used.items()}
-            outs = [evaluate(expr, scalar_env) for expr in self.exprs]
-        else:
-            cols = {name: np.broadcast_to(value, shape).reshape(-1)
-                    for name, value in used.items()}
-            n = int(np.prod(shape, dtype=int))
-            rows: list[list[float]] = [[] for _ in self.exprs]
-            for i in range(n):
-                row_env = {name: col[i] for name, col in cols.items()}
-                for k, expr in enumerate(self.exprs):
-                    rows[k].append(evaluate(expr, row_env))
-            outs = [np.asarray(values).reshape(shape) for values in rows]
-        if self._single:
-            return outs[0]
-        return tuple(outs)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -36,6 +36,16 @@ class TestRoundTrip:
         data["someday_a_new_field"] = 1
         assert TuningJob.from_dict(data) == JOB
 
+    def test_from_dict_drops_the_removed_engine_field(self):
+        # job and manifest dicts written before 2.0 may carry "engine";
+        # they load, and keep the fingerprint 1.x computed for them
+        data = JOB.to_dict()
+        data["engine"] = "interpreted"
+        job = TuningJob.from_dict(data)
+        assert job == JOB
+        assert "engine" not in job.to_dict()
+        assert job.fingerprint() == "adc9bfa0230af9128f5c"
+
 
 class TestFingerprint:
     def test_stable_across_round_trip(self):

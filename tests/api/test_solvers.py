@@ -8,10 +8,11 @@ the serial path, on more than one workload.
 import pytest
 
 from repro.api import SolveReport, TuningJob, get_solver, solve
-from repro.core import MistTuner, SPACE_MIST
+from repro.core import MenuMemo, MistTuner, SPACE_MIST
 from repro.evaluation import calibrated_interference
 from repro.hardware import make_cluster
 from repro.models import get_model
+from repro.reference import _solve_cell, exhaustive_search
 
 #: two distinct workloads for the parallel-equivalence acceptance test
 WORKLOADS = [
@@ -35,15 +36,31 @@ class TestParallelSearch:
         "model_spec,nodes,gpus,batch,seq_len", WORKLOADS)
     def test_parallel_matches_serial_exhaustive(self, model_spec, nodes,
                                                 gpus, batch, seq_len):
+        # the fanned-out search returns exactly what the serial
+        # exhaustive reference returns. Which cells the bound skips
+        # varies with worker timing, so the work is checked cell by
+        # cell: every cell the fan-out explored has the reference's
+        # objective, and the count is the reference's work on exactly
+        # those cells
         tuner = _make_tuner(model_spec, nodes, gpus, seq_len)
-        serial = tuner.search(batch, parallelism=1, prune=False)
-        parallel = tuner.search(batch, parallelism=4, prune=False)
-        assert serial.found and parallel.found
-        assert parallel.best_plan == serial.best_plan
-        assert parallel.top_plans == serial.top_plans
-        assert parallel.search_log == serial.search_log
-        assert parallel.configurations_evaluated \
-            == serial.configurations_evaluated
+        reference = exhaustive_search(tuner, batch)
+        parallel = tuner.search(batch, parallelism=4, memo=MenuMemo())
+        assert reference.found and parallel.found
+        assert parallel.best_plan == reference.best_plan
+        assert parallel.top_plans == reference.top_plans
+        assert parallel.predicted_iteration_time \
+            == reference.predicted_iteration_time
+        grid = tuner._sg_grid(batch)
+        explored = [entry["status"] == "explored"
+                    for entry in parallel.search_log]
+        assert len(explored) == len(grid) == len(reference.search_log)
+        for was_explored, got, want in zip(
+                explored, parallel.search_log, reference.search_log):
+            if was_explored:
+                assert got["objective"] == want["objective"]
+        assert parallel.configurations_evaluated == sum(
+            _solve_cell(tuner, batch, task)[1]
+            for task, was_explored in zip(grid, explored) if was_explored)
 
     @pytest.mark.parametrize(
         "model_spec,nodes,gpus,batch,seq_len", WORKLOADS)
@@ -66,21 +83,17 @@ class TestParallelSearch:
         assert result.found
 
     def test_evaluation_count_returned_directly(self):
-        # the count comes back with each (S, G) solution, not through
-        # mutable tuner state
+        # the count comes back with the result, not through mutable
+        # tuner state: a second run reports the same count, not a sum
         tuner = _make_tuner("gpt3-1.3b", 1, 2, 2048)
-        solution, evaluated = tuner._tune_pipeline(16, 1, 2, 1, [24])
-        assert evaluated > 0
+        first = exhaustive_search(tuner, 16)
+        again = exhaustive_search(tuner, 16)
+        assert first.configurations_evaluated > 0
+        assert first.configurations_evaluated \
+            == first.stats.configs_evaluated
+        assert again.configurations_evaluated \
+            == first.configurations_evaluated
         assert not hasattr(tuner, "_last_intra")
-
-
-class TestDeprecatedShim:
-    def test_tune_still_works_with_warning(self):
-        tuner = _make_tuner("gpt3-1.3b", 1, 2, 2048)
-        with pytest.deprecated_call():
-            old = tuner.tune(16)
-        new = tuner.search(16)
-        assert old.best_plan == new.best_plan
 
 
 class TestMistSolver:

@@ -1,10 +1,10 @@
-"""Pruning correctness: the prune-and-memoize engine vs exhaustive.
+"""Pruning correctness: the prune-and-memoize search vs exhaustive.
 
-The acceptance property of the engine is *bit-identity*: for any job,
-``search(prune=True)`` must return byte-identical ``TrainingPlan``s
-(winner *and* ``top_plans``) and the exact same predicted objective as
-the exhaustive reference path — pruning may only skip work that
-provably cannot change the ranking. The corpus below mixes hand-picked
+The acceptance property of the search is *bit-identity*: for any job,
+``search()`` must return byte-identical ``TrainingPlan``s (winner *and*
+``top_plans``) and the exact same predicted objective as
+:func:`repro.reference.exhaustive_search` — pruning may only skip work
+that provably cannot change the ranking. The corpus below mixes hand-picked
 and seeded-random small jobs, including heterogeneous clusters, plus
 coverage for the service hooks and the memoization layer under
 pruning.
@@ -26,6 +26,7 @@ from repro.evaluation import calibrated_interference
 from repro.evaluation.workloads import get_scale
 from repro.hardware import DeviceGroup, HeterogeneousCluster, make_cluster
 from repro.models import get_model
+from repro.reference import exhaustive_search
 
 SMOKE = get_scale("smoke")
 QUICK = get_scale("quick")
@@ -97,10 +98,10 @@ class TestBitIdentity:
                                            f"-B{c['batch']}-k{c['keep_top']}")
     def test_pruned_matches_exhaustive(self, case):
         tuner = _make_tuner(case)
-        exhaustive = tuner.search(case["batch"], keep_top=case["keep_top"],
-                                  prune=False)
+        exhaustive = exhaustive_search(tuner, case["batch"],
+                                       keep_top=case["keep_top"])
         pruned = tuner.search(case["batch"], keep_top=case["keep_top"],
-                              prune=True, memo=MenuMemo())
+                              memo=MenuMemo())
         assert _plan_bytes(pruned.best_plan) \
             == _plan_bytes(exhaustive.best_plan)
         assert [_plan_bytes(p) for p in pruned.top_plans] \
@@ -110,7 +111,7 @@ class TestBitIdentity:
         assert pruned.predicted_throughput == exhaustive.predicted_throughput
 
         stats = pruned.stats
-        assert stats is not None and stats.prune
+        assert stats is not None
         assert stats.cells_explored + stats.cells_pruned \
             + stats.cells_infeasible == stats.cells_total
         assert stats.memo_misses > 0 or stats.cells_explored == 0

@@ -149,3 +149,13 @@ class TestWarmStartMechanics:
                                        "matched": True})
         again = SearchStats.from_dict(stats.to_dict())
         assert again.warm and again.warm_seed == stats.warm_seed
+
+    def test_stats_from_dict_drops_removed_fields(self):
+        # stats dicts written before 2.0 carry "prune" and "engine"
+        from repro.core import SearchStats
+        stats = SearchStats(cells_total=4, cells_explored=4,
+                            configs_evaluated=12)
+        old = {"prune": False, "engine": "interpreted", **stats.to_dict()}
+        again = SearchStats.from_dict(old)
+        assert again == stats
+        assert again.to_dict() == stats.to_dict()

@@ -78,10 +78,9 @@ class TestTuner:
         result = make_tuner(space=space).search(BATCH)
         assert result.found
 
-    def test_deprecated_tune_alias(self, mist_result):
-        with pytest.deprecated_call():
-            legacy = make_tuner().tune(BATCH)
-        assert legacy.best_plan == mist_result.best_plan
+    def test_tune_alias_removed(self):
+        # removed in 2.0; search() is the one entry point
+        assert not hasattr(MistTuner, "tune")
 
 
 class TestSearchHooks:

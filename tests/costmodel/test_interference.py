@@ -1,5 +1,10 @@
 """Tests for the interference model (Algorithm 1) and communication costs."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,3 +133,26 @@ class TestInterferenceModel:
         t0 = model.predict_scalar(comp=base, g2g=base / 2)
         t1 = model.predict_scalar(comp=base + extra, g2g=base / 2)
         assert t1 >= t0 - 1e-12
+
+
+def test_fingerprint_does_not_depend_on_the_hash_seed():
+    """The 3/4-way factors multiply pair factors in CHANNELS order.
+
+    Seeds 0 and 6 iterate the channel sets in orders whose float
+    products differ by an ulp, so a set-ordered product fails here.
+    """
+    script = ("import sys; from repro.evaluation.runner import "
+              "calibrated_interference as c; "
+              "sys.stdout.write(repr((c(True).fingerprint(), "
+              "c(False).fingerprint())))")
+    src = Path(__file__).resolve().parents[2] / "src"
+    fingerprints = {
+        subprocess.run(
+            [sys.executable, "-c", script], check=True, capture_output=True,
+            text=True, timeout=60,
+            env={**os.environ, "PYTHONHASHSEED": str(seed),
+                 "PYTHONPATH": str(src)},
+        ).stdout
+        for seed in (0, 6)
+    }
+    assert len(fingerprints) == 1

@@ -94,33 +94,17 @@ class TestRunner:
     def test_unknown_baseline_rejected(self):
         with pytest.raises(KeyError):
             run_baseline(self.SPEC, "alpa")
+        # the runner-era alias was removed in 2.0
+        with pytest.raises(KeyError):
+            run_baseline(self.SPEC, "uniform-heuristic")
 
-
-class TestRunnerDeprecations:
-    SPEC = WorkloadSpec("gpt3-1.3b", "L4", 2, 16, 2048)
-
-    def test_baseline_tuners_shim_warns(self):
-        import repro.evaluation as evaluation
-
-        with pytest.warns(DeprecationWarning, match="BASELINE_TUNERS"):
-            tuners = evaluation.BASELINE_TUNERS
-        assert set(tuners) == {"megatron", "deepspeed", "aceso",
-                               "uniform-heuristic"}
-
-    def test_runner_module_shim_warns_too(self):
-        from repro.evaluation import runner
-
-        with pytest.warns(DeprecationWarning):
-            runner.BASELINE_TUNERS
+    @pytest.mark.parametrize("module", ["repro.evaluation",
+                                        "repro.evaluation.runner"])
+    def test_baseline_tuners_shim_removed(self, module):
+        # removed in 2.0; baselines are looked up through the registry
+        import importlib
         with pytest.raises(AttributeError):
-            runner.NO_SUCH_THING
-
-    def test_legacy_uniform_heuristic_alias(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "smoke")
-        with pytest.warns(DeprecationWarning, match="uniform"):
-            outcome = run_baseline(self.SPEC, "uniform-heuristic")
-        assert outcome.found
-        assert outcome.system == "uniform-heuristic"
+            importlib.import_module(module).BASELINE_TUNERS
 
 
 class TestComparison:

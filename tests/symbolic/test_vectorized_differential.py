@@ -11,9 +11,11 @@ directions:
   ways (batched interpreter, per-row scalar interpreter, scalar
   compiled calls, whole-array compiled call) must agree bit for bit,
   including NaN/inf propagation, empty menus and length-1 menus;
-* **search level** — ``MistTuner.search(engine=...)`` must return
-  byte-identical plans and identical work counters across engines, with
-  prune on and off, on homogeneous *and* heterogeneous clusters.
+* **search level** — a tuner and its :func:`repro.reference.interpreted`
+  copy must return byte-identical plans and identical work counters,
+  under both the production search and
+  :func:`repro.reference.exhaustive_search`, on homogeneous *and*
+  heterogeneous clusters.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from repro.evaluation import calibrated_interference
 from repro.evaluation.workloads import get_scale
 from repro.hardware import DeviceGroup, HeterogeneousCluster, make_cluster
 from repro.models import get_model
+from repro.reference import exhaustive_search, interpret, interpreted
 from repro.symbolic import (
-    ENGINES,
     EvaluationError,
     Lt,
     Piecewise,
@@ -41,7 +43,6 @@ from repro.symbolic import (
     evaluate,
     smax,
     smin,
-    validate_engine,
 )
 
 SYMBOL_NAMES = ("x", "y", "z")
@@ -123,7 +124,7 @@ class TestExpressionDifferential:
                 np.asarray(fn(**env), dtype=float), (n,)
             )
             ref = np.broadcast_to(
-                np.asarray(fn.interpret(**env), dtype=float), (n,)
+                np.asarray(interpret(fn, **env), dtype=float), (n,)
             )
             scalar = np.asarray(
                 [fn(**{k: float(v[i]) for k, v in env.items()})
@@ -146,7 +147,7 @@ class TestExpressionDifferential:
         fn = compile_expr(expr, arg_names=SYMBOL_NAMES)
         with np.errstate(all="ignore"):
             direct = fn(**env)
-            ref = fn.interpret(**env)
+            ref = interpret(fn, **env)
         assert np.ndim(ref) == 0
         assert _bit_identical(direct, ref)
 
@@ -161,10 +162,10 @@ class TestExpressionDifferential:
         }
         with np.errstate(all="ignore"):
             called = fn(**env)
-            interpreted = fn.interpret(**env)
-        assert isinstance(called, tuple) and isinstance(interpreted, tuple)
-        assert len(called) == len(interpreted) == len(exprs)
-        for got, want in zip(interpreted, called):
+            rows = interpret(fn, **env)
+        assert isinstance(called, tuple) and isinstance(rows, tuple)
+        assert len(called) == len(rows) == len(exprs)
+        for got, want in zip(rows, called):
             assert _bit_identical(got, want)
 
     def test_broadcasting_matches(self):
@@ -172,7 +173,7 @@ class TestExpressionDifferential:
         x, y, z = SYMS
         fn = compile_expr(x * y + z, arg_names=SYMBOL_NAMES)
         env = {"x": 3.0, "y": np.array([1.0, 2.0, 4.0]), "z": -1.5}
-        assert _bit_identical(fn.interpret(**env), fn(**env))
+        assert _bit_identical(interpret(fn, **env), fn(**env))
 
 
 class TestEvaluationErrors:
@@ -193,18 +194,11 @@ class TestEvaluationErrors:
 
         bare = CompiledExpr(lambda a: a, ("x",), 1, "def _compiled(a): ...")
         with pytest.raises(EvaluationError, match="raw expression trees"):
-            bare.interpret(x=1.0)
-
-    def test_validate_engine(self):
-        assert validate_engine("vectorized") == "vectorized"
-        assert validate_engine("interpreted") == "interpreted"
-        with pytest.raises(ValueError, match="interpreted"):
-            validate_engine("turbo")
-        assert set(ENGINES) == {"vectorized", "interpreted"}
+            interpret(bare, x=1.0)
 
 
 # ---------------------------------------------------------------------------
-# search-level differential: whole tuner runs, both engines
+# search-level differential: whole tuner runs, both evaluators
 # ---------------------------------------------------------------------------
 
 SMOKE = get_scale("smoke")
@@ -234,52 +228,50 @@ def _plan_bytes(plan):
     return None if plan is None else plan.to_json()
 
 
+def _search(tuner, search: str):
+    if search == "exhaustive":
+        return exhaustive_search(tuner, 16, keep_top=3)
+    return tuner.search(16, keep_top=3, memo=MenuMemo())
+
+
 class TestSearchDifferential:
-    """Engines are interchangeable: same plans, same work accounting.
+    """Evaluators are interchangeable: same plans, same work accounting.
 
     Spaces are kept small ('3d', '3d-ckpt') because the interpreted
-    reference path costs ~5ms per configuration by design.
+    reference costs ~5ms per configuration by design.
     """
 
-    @pytest.mark.parametrize("prune", [False, True],
-                             ids=["exhaustive", "pruned"])
+    @pytest.mark.parametrize("search", ["exhaustive", "pruned"])
     @pytest.mark.parametrize("cluster_kind", ["homogeneous", "heterogeneous"])
-    def test_engines_bit_identical(self, cluster_kind, prune):
+    def test_engines_bit_identical(self, cluster_kind, search):
         cluster = (make_cluster("L4", 1, 2) if cluster_kind == "homogeneous"
                    else _mixed_cluster())
         tuner = _make_tuner(cluster, "3d-ckpt")
-        results = {}
-        for engine in ENGINES:
-            results[engine] = tuner.search(
-                16, keep_top=3, prune=prune,
-                memo=MenuMemo() if prune else None, engine=engine)
+        vec = _search(tuner, search)
+        ref = _search(interpreted(tuner), search)
 
-        vec, ref = results["vectorized"], results["interpreted"]
         assert _plan_bytes(vec.best_plan) == _plan_bytes(ref.best_plan)
         assert [_plan_bytes(p) for p in vec.top_plans] \
             == [_plan_bytes(p) for p in ref.top_plans]
         assert plan_hash(vec.best_plan) == plan_hash(ref.best_plan)
         assert vec.predicted_iteration_time == ref.predicted_iteration_time
         assert vec.predicted_throughput == ref.predicted_throughput
-        # the engine may not change how much work is *counted*
+        # the evaluator may not change how much work is *counted*
         assert vec.configurations_evaluated == ref.configurations_evaluated
         assert vec.stats.configs_prefiltered == ref.stats.configs_prefiltered
-        assert vec.stats.engine == "vectorized"
-        assert ref.stats.engine == "interpreted"
+        assert vec.stats.to_dict() == ref.stats.to_dict()
 
     def test_memo_entries_are_engine_scoped(self):
-        # a warm memo from one engine must not replay into the other:
-        # cross-engine hits would mask exactly the divergence this
-        # harness exists to catch
+        # a production-warmed memo never serves the interpreted
+        # reference: cross-evaluator hits would mask exactly the
+        # divergence this harness exists to catch
         tuner = _make_tuner(make_cluster("L4", 1, 2), "3d")
         memo = MenuMemo()
-        vec = tuner.search(16, memo=memo, engine="vectorized")
-        ref = tuner.search(16, memo=memo, engine="interpreted")
+        vec = tuner.search(16, memo=memo)
+        ref = interpreted(tuner).search(16, memo=memo)
         assert ref.stats.memo_hits == 0
         assert ref.stats.memo_misses > 0
         assert _plan_bytes(vec.best_plan) == _plan_bytes(ref.best_plan)
-
-    def test_unknown_engine_rejected_before_any_work(self):
-        tuner = _make_tuner(make_cluster("L4", 1, 2), "3d")
-        with pytest.raises(ValueError, match="unknown engine"):
-            tuner.search(16, engine="numba")
+        # ... and the production tuner's scope is left as it was
+        again = tuner.search(16, memo=memo)
+        assert again.stats.memo_misses == 0

@@ -50,9 +50,11 @@ class TestSnapshot:
         assert snapshot["derived"]["plans_match_interpreted"]
         assert snapshot["derived"]["fig16_engine_speedup"] > 1.0
         interpreted = snapshot["benchmarks"]["fig16_interpreted_engine"]
-        assert interpreted["engine"] == "interpreted"
-        assert snapshot["benchmarks"]["fig16_tuning_time"]["engine"] \
-            == "vectorized"
+        assert interpreted["search"] == "interpreted"
+        assert snapshot["benchmarks"]["fig16_tuning_time"]["search"] \
+            == "pruned"
+        assert snapshot["benchmarks"]["fig16_exhaustive_reference"][
+            "search"] == "exhaustive"
 
     def test_counters_nonzero(self, snapshot):
         stats = snapshot["benchmarks"]["fig16_tuning_time"]["stats"]

@@ -107,29 +107,9 @@ class TestTune:
         loaded = SolveReport.from_dict(payload[0])
         assert loaded.solver == "mist" and loaded.found
 
-    def test_tune_engine_flag_is_plan_invariant(self, capsys, tmp_path):
-        # --engine selects the cost-model path only: same plan, same
-        # report payload (modulo the non-fingerprinted runtime field)
-        from repro.api import TuningJob
-        payloads = {}
-        for engine in ("vectorized", "interpreted"):
-            out_file = tmp_path / f"report-{engine}.json"
-            code = main([
-                "tune", "--model", "gpt3-1.3b", "--gpu", "L4",
-                "--gpus", "2", "--global-batch", "8", "--seq-len", "2048",
-                "--scale", "smoke", "--space", "3d",
-                "--engine", engine, "--json", str(out_file),
-            ])
-            assert code == 0
-            payloads[engine] = json.loads(out_file.read_text())
-        vec, ref = payloads["vectorized"], payloads["interpreted"]
-        assert vec["plan"] == ref["plan"]
-        assert ref["job"]["engine"] == "interpreted"
-        assert "engine" not in vec["job"]  # default stays implicit
-        assert TuningJob.from_dict(vec["job"]).fingerprint() \
-            == TuningJob.from_dict(ref["job"]).fingerprint()
-
     def test_tune_unknown_engine_rejected(self, capsys):
+        # --engine was removed in 2.0: any value is rejected before any
+        # tuning work starts
         with pytest.raises(SystemExit):
             main([
                 "tune", "--model", "gpt3-1.3b", "--gpu", "L4",
