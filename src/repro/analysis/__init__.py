@@ -10,10 +10,11 @@ Since PR 10 the checker is built on a small intraprocedural dataflow
 engine: a shared CFG builder (:mod:`~repro.analysis.cfg`),
 reaching-definitions / use-def chains and kind-aware taint tracking
 (:mod:`~repro.analysis.dataflow`), and a project-wide call graph
-(:mod:`~repro.analysis.callgraph`). On top of it ride the
-``fingerprint-taint``, ``lock-order``, and ``exception-flow`` rule
-families, plus the ported ``determinism`` rule (a strict superset of
-its pre-engine findings).
+(:mod:`~repro.analysis.callgraph`), built once per run and shared as
+:attr:`Project.call_graph <repro.analysis.project.Project.call_graph>`.
+On top of it ride the flow half of the ``determinism`` rule and the
+``exception-flow`` rule; ``lock-discipline`` and ``lock-order`` share
+one project-wide lock model (:mod:`~repro.analysis.rules.locks`).
 
 Rules are plain classes registered with
 :func:`~repro.analysis.registry.register_rule` — the same decorator

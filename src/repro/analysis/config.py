@@ -36,8 +36,9 @@ class CheckConfig:
     """Per-rule path scoping (see module docstring for pattern syntax)."""
 
     #: fingerprint / memo-key / serialization code paths: anything
-    #: wall-clock, RNG- or hash-order-dependent here corrupts the
-    #: PlanCache, campaign resume, or the CI perf gate
+    #: wall-clock, RNG- or hash-order-dependent here, or flowing from
+    #: such a source into a key, corrupts the PlanCache, campaign
+    #: resume, or the CI perf gate
     determinism_paths: tuple[str, ...] = (
         "repro/api/job.py",
         "repro/api/cache.py",
@@ -71,26 +72,6 @@ class CheckConfig:
         "repro/analysis/rules/",
         "tests/",
         "conftest.py",
-    )
-    #: modules whose locals are taint-tracked into fingerprint sinks
-    #: (the dataflow companion to ``determinism_paths``: same surface,
-    #: but flows instead of direct references)
-    taint_paths: tuple[str, ...] = (
-        "repro/api/job.py",
-        "repro/api/cache.py",
-        "repro/api/report.py",
-        "repro/core/memo.py",
-        "repro/core/plan.py",
-        "repro/campaigns/spec.py",
-        "repro/campaigns/manifest.py",
-        "repro/service/state.py",
-    )
-    #: modules contributing to the global lock-acquisition graph
-    lock_order_paths: tuple[str, ...] = (
-        "repro/service/",
-        "repro/campaigns/",
-        "repro/api/cache.py",
-        "repro/core/memo.py",
     )
     #: modules audited for broad handlers on solver-reachable paths
     exception_paths: tuple[str, ...] = (

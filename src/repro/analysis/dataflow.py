@@ -353,10 +353,10 @@ class TaintAnalysis:
 
     ``call_summary(node)`` (optional) returns extra
     :class:`TaintSource` sets for a resolved call — the hook the
-    fingerprint-taint rule uses to splice in one level of call-graph
-    propagation. ``param_taints`` seeds parameter names, which turns
-    the same machinery into a "does this argument reach a sink /
-    the return value" query for callee summaries.
+    determinism rule's flow scan uses to splice in one level of
+    call-graph propagation. ``param_taints`` seeds parameter names,
+    which turns the same machinery into a "does this argument reach a
+    sink / the return value" query for callee summaries.
     """
 
     def __init__(self, cfg: CFG, spec: TaintSpec, *,

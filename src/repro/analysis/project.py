@@ -1,21 +1,27 @@
 """Parsed-module collection every rule runs over, plus AST helpers.
 
 A :class:`Project` is the unit of analysis: a list of
-:class:`ModuleSource` (path, source text, parsed ``ast`` tree) plus the
+:class:`ModuleSource` (path, source text, parsed ``ast`` tree), the
 :class:`~repro.analysis.config.CheckConfig` that scopes path-sensitive
-rules. Build one from filesystem paths (:meth:`Project.from_paths`, the
-CLI route) or from in-memory sources (:meth:`Project.from_sources`, the
-fixture route tests use).
+rules, and the project-wide call graph every rule shares. Build one
+from filesystem paths (:meth:`Project.from_paths`, the CLI route) or
+from in-memory sources (:meth:`Project.from_sources`, the fixture
+route tests use).
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .config import DEFAULT_CONFIG, CheckConfig
 from .findings import Finding
+
+if TYPE_CHECKING:
+    from .callgraph import CallGraph
 
 __all__ = ["ModuleSource", "Project", "dotted_name", "iter_python_files"]
 
@@ -82,6 +88,12 @@ class Project:
     config: CheckConfig = DEFAULT_CONFIG
     #: modules that failed to parse, surfaced as unsuppressable findings
     parse_failures: list[Finding] = field(default_factory=list)
+
+    @cached_property
+    def call_graph(self) -> "CallGraph":
+        """The project-wide call graph, built on first use, shared by rules."""
+        from .callgraph import CallGraph  # callgraph imports this module
+        return CallGraph.build(self)
 
     @classmethod
     def from_paths(cls, paths: "list[str | Path]",

@@ -16,14 +16,12 @@ from .lock_order import LockOrderRule
 from .locks import LockDisciplineRule
 from .registry_discipline import RegistryDisciplineRule
 from .serialization import SerializationRule
-from .taint import FingerprintTaintRule
 from .vectorization import VectorizationDisciplineRule
 
 __all__ = [
     "AsyncSafetyRule",
     "DeterminismRule",
     "ExceptionFlowRule",
-    "FingerprintTaintRule",
     "LockDisciplineRule",
     "LockOrderRule",
     "RegistryDisciplineRule",

@@ -6,7 +6,10 @@ must produce the same bytes, or the :class:`~repro.api.cache.PlanCache`
 and campaign resume silently stop deduplicating (worse: serve stale
 mismatches). Inside the configured path set
 (:attr:`~repro.analysis.config.CheckConfig.determinism_paths`) this
-rule flags:
+rule reports two kinds of finding under one id.
+
+**Per-statement** findings (:func:`legacy_findings`, the pattern
+matcher):
 
 * wall-clock reads (``time.time``, ``datetime.now``, ...) — including
   bare references such as ``field(default_factory=time.time)``;
@@ -16,28 +19,46 @@ rule flags:
   ``list(set(...))`` / ``tuple(set(...))``;
 * ``json.dump(s)`` without ``sort_keys=True`` (unsorted dict emission).
 
+**Flow** findings (:func:`flow_findings`, the dataflow engine with one
+level of call-graph propagation): a nondeterministic value laundered
+through locals, arithmetic, an f-string, a dict, or a helper's return
+value before reaching a sink, where no single line pattern-matches.
+
+* Sources (kind): the wall clock above plus the monotonic and perf
+  counters, which are fine to read for durations but not to key on
+  (``wall-clock``); the entropy sources above (``entropy``);
+  ``os.environ`` / ``os.getenv`` (``env``); materializing or iterating
+  an unordered ``set`` (``hash-order``).
+* Sinks: any ``fingerprint(...)``/``*.fingerprint(...)`` argument,
+  ``json.dump(s)`` payloads, ``hashlib.*`` digests, and memo-key calls
+  (``*.lookup``/``*.store`` on a ``*memo*`` receiver, ``*_key(...)``
+  helpers).
+* Sanitizers are kind-aware: ``sorted(...)`` launders ``hash-order``
+  (a sorted set is deterministic) but *not* a wall-clock or entropy
+  value flowing through it; ``len``/``min``/``max``/``sum`` launder
+  ``hash-order`` too (order-insensitive folds).
+
+Flows are tracked through locals only; attribute and global flows are
+left to the per-statement matcher. Each ``(path, line, message)`` is
+reported once.
+
 Wall-clock *display* timestamps are legitimate — suppress them with a
 justification: ``# repro: allow[determinism] wall-clock display only``.
-
-Since the dataflow engine landed, the rule additionally reports
-**flow** findings on the same engine the ``fingerprint-taint`` rule
-uses: a source laundered through locals into a fingerprint sink is a
-determinism violation even though no single line pattern-matches. The
-pattern-matched findings above are kept verbatim, so this rule's
-output is a strict superset of the pre-engine rule (the differential
-test pins that).
 """
 
 from __future__ import annotations
 
 import ast
 
+from ..callgraph import CallGraph, FunctionInfo
+from ..cfg import build_cfg
 from ..config import path_matches
+from ..dataflow import TaintAnalysis, TaintSpec, _is_set_expr
 from ..findings import Finding
 from ..project import ModuleSource, Project, dotted_name
 from ..registry import register_rule
 
-__all__ = ["DeterminismRule", "legacy_findings"]
+__all__ = ["DeterminismRule", "flow_findings", "legacy_findings"]
 
 #: dotted references that read the wall clock or equivalent
 _CLOCK_REFS = {
@@ -56,6 +77,13 @@ _CLOCK_REFS = {
     "datetime.date.today": "inject the date from the caller instead",
 }
 
+#: duration clocks: reading one is fine, keying on one is not, so they
+#: are flow sources only
+_DURATION_CLOCKS = (
+    "time.monotonic", "time.monotonic_ns",
+    "time.perf_counter", "time.perf_counter_ns",
+)
+
 #: dotted references to nondeterministic entropy sources
 _ENTROPY_REFS = {
     "os.urandom": "derive bytes from the content being fingerprinted",
@@ -70,16 +98,36 @@ _ENTROPY_REFS = {
 #: module-level random is unseeded global state
 _RANDOM_ALLOWED = {"random.Random"}
 
+#: the seeded, reproducible entry points a flow may pass through
+_SEEDED_RANDOM = ("random.Random", "random.seed")
+
 #: calls whose output order follows set hash order
 _SET_CASTS = {"list", "tuple"}
 
+_FLOW_CLOCKS = {name: ("wall-clock", name)
+                for name in (*_CLOCK_REFS, *_DURATION_CLOCKS)}
+_FLOW_ENTROPY = {name: ("entropy", name) for name in _ENTROPY_REFS}
 
-def _is_set_expr(node: ast.AST) -> bool:
-    if isinstance(node, ast.Set) or isinstance(node, ast.SetComp):
-        return True
-    if isinstance(node, ast.Call):
-        return dotted_name(node.func) in ("set", "frozenset")
-    return False
+_FLOW_SPEC = TaintSpec(
+    call_sources={**_FLOW_CLOCKS, **_FLOW_ENTROPY,
+                  "os.getenv": ("env", "os.getenv"),
+                  "os.environ.get": ("env", "os.environ.get")},
+    ref_sources={**_FLOW_CLOCKS, **_FLOW_ENTROPY,
+                 "os.environ": ("env", "os.environ")},
+    prefix_sources={"random.": ("entropy", "unseeded random.*")},
+    sanitizers={name: frozenset({"hash-order"})
+                for name in ("sorted", "len", "min", "max", "sum")},
+)
+
+#: call-name suffixes that key a cache / fingerprint something
+_SINK_SUFFIXES = ("fingerprint", "_key")
+_SINK_EXACT = frozenset({"json.dumps", "json.dump"})
+_SINK_PREFIXES = ("hashlib.",)
+#: ``memo.lookup(key)`` / ``memo.store(key, ...)``: the key argument
+_MEMO_METHODS = frozenset({"lookup", "store"})
+
+
+# -- per-statement matcher ---------------------------------------------------
 
 
 class _Visitor(ast.NodeVisitor):
@@ -163,7 +211,7 @@ class _Visitor(ast.NodeVisitor):
 
 
 def legacy_findings(project: Project) -> list[Finding]:
-    """The pre-engine (PR 6) pattern-matched findings, verbatim.
+    """The per-statement (pattern-matched) findings, verbatim.
 
     Exposed so the differential test can pin the superset guarantee:
     ``DeterminismRule.check(p) ⊇ legacy_findings(p)`` on any corpus.
@@ -179,6 +227,121 @@ def legacy_findings(project: Project) -> list[Finding]:
     return findings
 
 
+# -- flow scan ---------------------------------------------------------------
+
+
+def _sink_description(node: ast.Call) -> "str | None":
+    """Sink label for a call node, or ``None`` if it is not a sink."""
+    name = dotted_name(node.func)
+    if name is not None:
+        if name in _SINK_EXACT:
+            return name
+        if any(name.startswith(prefix) for prefix in _SINK_PREFIXES):
+            return name
+        short = name.split(".")[-1]
+        if any(short == suffix or short.endswith(suffix)
+               for suffix in _SINK_SUFFIXES):
+            return name
+    if isinstance(node.func, ast.Attribute):
+        receiver = dotted_name(node.func.value) or ""
+        if (node.func.attr in _MEMO_METHODS
+                and "memo" in receiver.lower()):
+            return f"{receiver}.{node.func.attr}"
+    return None
+
+
+class _Summaries:
+    """Lazy intraprocedural return-taint summaries, one per function.
+
+    ``summary(qualname)`` answers: do this function's *own* sources
+    reach its return value? Used at call sites for exactly one level
+    of call-graph propagation (a summary never includes its callees'
+    summaries, so laundering chains longer than one hop are out of
+    scope by design — and documented as such).
+    """
+
+    def __init__(self, graph: CallGraph):
+        self.graph = graph
+        self._cache: dict[str, frozenset] = {}
+
+    def summary(self, qualname: str) -> frozenset:
+        if qualname in self._cache:
+            return self._cache[qualname]
+        self._cache[qualname] = frozenset()  # cycle guard
+        info = self.graph.functions.get(qualname)
+        if info is None:
+            return frozenset()
+        analysis = TaintAnalysis(build_cfg(info.node), _FLOW_SPEC)
+        self._cache[qualname] = analysis.return_taint
+        return analysis.return_taint
+
+
+def _function_flows(info: FunctionInfo, graph: CallGraph,
+                    summaries: _Summaries) -> list[Finding]:
+    """Flow findings of one function: tainted arguments at sink calls."""
+
+    def call_summary(node: ast.Call) -> frozenset:
+        taints: frozenset = frozenset()
+        for callee in graph.resolve_call(info, node):
+            for source in summaries.summary(callee):
+                _, _, dotted = callee.partition("::")
+                taints |= frozenset({type(source)(
+                    source.kind,
+                    f"{source.description} via {dotted}()",
+                    node.lineno)})
+        return taints
+
+    analysis = TaintAnalysis(build_cfg(info.node), _FLOW_SPEC,
+                             call_summary=call_summary)
+    out = []
+    seen: set = set()
+    for _block, element, state in analysis.iter_states():
+        for node in ast.walk(element):
+            if not isinstance(node, ast.Call):
+                continue
+            sink = _sink_description(node)
+            if sink is None:
+                continue
+            args = list(node.args) + [kw.value for kw in node.keywords
+                                      if kw.arg != "sort_keys"]
+            taints: frozenset = frozenset()
+            for arg in args:
+                taints |= analysis.expr_taint(arg, state)
+            taints = frozenset(
+                t for t in taints
+                if not t.description.startswith(_SEEDED_RANDOM))
+            for taint in sorted(taints,
+                                key=lambda t: (t.kind, t.description)):
+                key = (node.lineno, sink, taint.kind, taint.description)
+                if key in seen:
+                    continue
+                seen.add(key)
+                out.append(Finding(
+                    rule="determinism",
+                    path=info.module.path,
+                    line=node.lineno,
+                    message=(f"{taint.kind} value from "
+                             f"{taint.description} (line {taint.line}) "
+                             f"flows into {sink}()"),
+                    hint=("fingerprints/memo keys must be pure "
+                          "functions of their inputs; drop the "
+                          "nondeterministic input or sanitize the "
+                          "flow (sorted() launders hash-order)"),
+                ))
+    return out
+
+
+def flow_findings(project: Project) -> list[Finding]:
+    """Nondeterministic values flowing into sinks in determinism paths."""
+    graph = project.call_graph
+    summaries = _Summaries(graph)
+    findings = []
+    for info in graph.functions.values():
+        if path_matches(info.module.path, project.config.determinism_paths):
+            findings.extend(_function_flows(info, graph, summaries))
+    return findings
+
+
 @register_rule("determinism")
 class DeterminismRule:
     """Ban wall-clock, entropy, and hash-order in fingerprint paths."""
@@ -187,13 +350,9 @@ class DeterminismRule:
             "pure functions of their inputs")
 
     def check(self, project: Project) -> list[Finding]:
-        # deferred import: rules.taint also imports this package
-        from .taint import taint_findings
         findings = legacy_findings(project)
         seen = {(f.path, f.line, f.message) for f in findings}
-        for flow in taint_findings(project,
-                                   project.config.determinism_paths,
-                                   rule="determinism"):
+        for flow in flow_findings(project):
             key = (flow.path, flow.line, flow.message)
             if key not in seen:
                 seen.add(key)

@@ -218,7 +218,7 @@ class ExceptionFlowRule:
 
     def check(self, project: Project) -> list:
         config = project.config
-        graph = CallGraph.build(project)
+        graph = project.call_graph
         analysis = _EscapeAnalysis(
             graph,
             guarded=frozenset(config.guarded_exceptions),

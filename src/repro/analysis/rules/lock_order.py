@@ -1,14 +1,13 @@
 """Lock-order rule: the global lock-acquisition graph must be acyclic.
 
-The lock-discipline rule (PR 6) checks that guarded state is touched
-*under* its lock; this rule checks the relationship **between** locks.
-It collects every lock declaration across
-:attr:`~repro.analysis.config.CheckConfig.lock_order_paths` (class
-``__init__``/dataclass fields and module level, same shapes the
-lock-discipline rule recognizes), then walks every function recording
-which locks are acquired *while others are already held* — through
-nested ``with`` blocks and through direct calls resolved on the
-project call graph. Three findings fall out:
+The lock-discipline rule checks that guarded state is touched *under*
+its lock; this rule checks the relationship **between** locks. Both
+read the project-wide lock model in :mod:`.locks`: every lock declared
+anywhere in the project, and one scan per function recording which
+locks a sync ``with`` acquires *while others are already held*. The
+rule follows those acquisitions through nested ``with`` blocks and
+through direct calls resolved on the project call graph. Three
+findings fall out:
 
 * **cycle** — the acquisition graph has a cycle (``A → B`` somewhere,
   ``B → A`` elsewhere): two threads interleaving those paths deadlock.
@@ -20,183 +19,22 @@ project call graph. Three findings fall out:
   coroutine needing that lock (or that thread needing the loop)
   deadlocks the service.
 
-Lock identity is ``ClassName.attr`` for instance locks (collapsing all
-instances of a class — the usual conservative choice) and
-``<module stem>.name`` for module-level locks. ``obj._lock`` with an
-unknown receiver resolves only when exactly one known class declares
-that attribute name. Callable *references* passed to executors are
-deliberately **not** followed: ``pool.submit(self._work)`` runs later,
-on another thread, not under the caller's locks.
+``async with`` is not an acquisition here: it does not block a thread.
+``obj._lock`` with an unknown receiver resolves only when exactly one
+known class declares that attribute name. Callable *references* passed
+to executors are deliberately **not** followed:
+``pool.submit(self._work)`` runs later, on another thread, not under
+the caller's locks; nor are nested defs and lambdas, which run later.
 """
 
 from __future__ import annotations
 
-import ast
-from dataclasses import dataclass
-
-from ..callgraph import CallGraph, FunctionInfo
-from ..config import path_matches
 from ..findings import Finding
-from ..project import Project, dotted_name
+from ..project import Project
 from ..registry import register_rule
-from .locks import _class_attrs, _initializer_kind
+from .locks import _Site, lock_scans
 
 __all__ = ["LockOrderRule"]
-
-
-@dataclass(frozen=True)
-class _Site:
-    """Where an ordered pair of acquisitions was observed."""
-
-    path: str
-    line: int
-    where: str
-
-
-class _LockIndex:
-    """Every lock declaration in scope, with resolution helpers."""
-
-    def __init__(self) -> None:
-        #: lock id -> declaring module path
-        self.locks: dict[str, str] = {}
-        #: attr name -> set of "ClassName.attr" ids (for obj.attr)
-        self.by_attr: dict[str, set] = {}
-        #: module path -> {bare name: lock id} (module-level locks)
-        self.module_locks: dict[str, dict] = {}
-        #: module path -> {class name: {attr: lock id}}
-        self.class_locks: dict[str, dict] = {}
-
-    @classmethod
-    def build(cls, project: Project,
-              paths: tuple) -> "_LockIndex":
-        index = cls()
-        for module in project.modules:
-            if not path_matches(module.path, paths):
-                continue
-            stem = module.path.rsplit("/", 1)[-1].removesuffix(".py")
-            index.module_locks[module.path] = {}
-            index.class_locks[module.path] = {}
-            for stmt in module.tree.body:
-                if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                    targets = (stmt.targets
-                               if isinstance(stmt, ast.Assign)
-                               else [stmt.target])
-                    value = stmt.value
-                    if value is None or _initializer_kind(value) != "lock":
-                        continue
-                    for target in targets:
-                        if isinstance(target, ast.Name):
-                            lock_id = f"{stem}.{target.id}"
-                            index.locks[lock_id] = module.path
-                            index.module_locks[module.path][target.id] = \
-                                lock_id
-                elif isinstance(stmt, ast.ClassDef):
-                    lock_attrs, _ = _class_attrs(stmt)
-                    attrs = {}
-                    for attr in lock_attrs:
-                        lock_id = f"{stmt.name}.{attr}"
-                        index.locks[lock_id] = module.path
-                        index.by_attr.setdefault(attr, set()).add(lock_id)
-                        attrs[attr] = lock_id
-                    if attrs:
-                        index.class_locks[module.path][stmt.name] = attrs
-        return index
-
-    def resolve(self, info: FunctionInfo,
-                expr: ast.AST) -> "str | None":
-        """Lock id for a ``with`` context expression, if known."""
-        name = dotted_name(expr)
-        if name is None:
-            return None
-        module_path = info.module.path
-        if "." not in name:
-            return self.module_locks.get(module_path, {}).get(name)
-        base, _, attr = name.rpartition(".")
-        if base in ("self", "cls") and info.class_name is not None:
-            owned = self.class_locks.get(module_path, {}) \
-                .get(info.class_name, {})
-            if attr in owned:
-                return owned[attr]
-        # obj.attr with a unique declaring class project-wide
-        candidates = self.by_attr.get(attr, set())
-        if len(candidates) == 1:
-            return next(iter(candidates))
-        return None
-
-
-class _FunctionScan:
-    """Per-function facts: acquisitions, ordered pairs, awaits."""
-
-    def __init__(self, info: FunctionInfo, index: _LockIndex,
-                 graph: CallGraph):
-        self.info = info
-        self.index = index
-        self.graph = graph
-        #: locks this function acquires at any nesting (incl. top level)
-        self.acquires: set = set()
-        #: (held, acquired) -> first _Site observed
-        self.pairs: dict = {}
-        #: (call node, tuple of locks held at the call)
-        self.calls: list = []
-        #: (await line, locks held) — only under at least one lock
-        self.awaits: list = []
-        self._held: list = []
-        self._walk(info.node.body)
-
-    # -- traversal ---------------------------------------------------------
-
-    def _walk(self, body: list) -> None:
-        for stmt in body:
-            self._stmt(stmt)
-
-    def _stmt(self, stmt: ast.AST) -> None:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            return  # nested scope: analyzed as its own function
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            acquired = []
-            for item in stmt.items:
-                lock_id = self.index.resolve(self.info, item.context_expr)
-                # async with = asyncio primitives; only sync `with`
-                # acquisitions of threading locks block a thread
-                if lock_id is not None and isinstance(stmt, ast.With):
-                    self._acquire(lock_id, item.context_expr.lineno)
-                    acquired.append(lock_id)
-                else:
-                    self._scan_exprs(item.context_expr)
-            self._walk(stmt.body)
-            for lock_id in reversed(acquired):
-                assert self._held and self._held[-1] == lock_id
-                self._held.pop()
-            return
-        for child in ast.iter_child_nodes(stmt):
-            if isinstance(child, (ast.stmt, ast.excepthandler,
-                                  ast.match_case)):
-                self._stmt(child)
-            else:
-                self._scan_exprs(child)
-
-    def _scan_exprs(self, node: ast.AST) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda, ast.ClassDef)):
-            return  # nested scope: not executed under these locks
-        if isinstance(node, ast.Call):
-            self.calls.append((node, tuple(self._held)))
-        elif isinstance(node, ast.Await) and self._held:
-            self.awaits.append((node.lineno, tuple(self._held)))
-        for child in ast.iter_child_nodes(node):
-            self._scan_exprs(child)
-
-    def _acquire(self, lock_id: str, line: int) -> None:
-        self.acquires.add(lock_id)
-        dotted = self.info.qualname.partition("::")[2]
-        site = _Site(self.info.module.path, line, f"{dotted}()")
-        for held in self._held:
-            self.pairs.setdefault((held, lock_id), site)
-        if lock_id in self._held:
-            # direct re-acquisition in one lexical path
-            self.pairs.setdefault((lock_id, lock_id), site)
-        self._held.append(lock_id)
 
 
 def _find_cycles(edges: dict) -> list:
@@ -230,48 +68,44 @@ class LockOrderRule:
             "deadlock under load, never in unit tests")
 
     def check(self, project: Project) -> list:
-        index = _LockIndex.build(project,
-                                 project.config.lock_order_paths)
-        if not index.locks:
-            return []
-        graph = CallGraph.build(project)
-        scans: dict[str, _FunctionScan] = {}
-        for qual, info in graph.functions.items():
-            if path_matches(info.module.path,
-                            project.config.lock_order_paths):
-                scans[qual] = _FunctionScan(info, index, graph)
+        graph = project.call_graph
+        scans = lock_scans(project)
+        #: (scan, call, locks acquired at the call, resolved callees)
+        calls = [(scan, call, held, graph.resolve_call(scan.info, call))
+                 for scan in scans for call, held in scan.calls]
 
         # transitive acquisition summaries over direct-call edges
-        summary = {qual: set(scan.acquires)
-                   for qual, scan in scans.items()}
+        summary: dict = {}
+        for scan in scans:
+            summary.setdefault(scan.info.qualname, set()).update(
+                scan.acquires)
         changed = True
         while changed:
             changed = False
-            for qual, scan in scans.items():
-                for call, _held in scan.calls:
-                    for callee in graph.resolve_call(scan.info, call):
-                        extra = summary.get(callee, set()) - summary[qual]
-                        if extra:
-                            summary[qual] |= extra
-                            changed = True
+            for scan, _call, _held, callees in calls:
+                mine = summary[scan.info.qualname]
+                for callee in callees:
+                    extra = summary.get(callee, set()) - mine
+                    if extra:
+                        mine |= extra
+                        changed = True
 
         # ordered pairs: lexical nesting + calls made while holding
         pairs: dict = {}
-        for qual, scan in scans.items():
+        for scan in scans:
             for pair, site in scan.pairs.items():
                 pairs.setdefault(pair, site)
-            for call, held in scan.calls:
-                if not held:
-                    continue
-                acquired: set = set()
-                for callee in graph.resolve_call(scan.info, call):
-                    acquired |= summary.get(callee, set())
-                dotted = qual.partition("::")[2]
-                site = _Site(scan.info.module.path, call.lineno,
-                             f"{dotted}()")
-                for lock_id in acquired:
-                    for held_id in held:
-                        pairs.setdefault((held_id, lock_id), site)
+        for scan, call, held, callees in calls:
+            if not held:
+                continue
+            acquired: set = set()
+            for callee in callees:
+                acquired |= summary.get(callee, set())
+            dotted = scan.info.qualname.partition("::")[2]
+            site = _Site(scan.info.module.path, call.lineno, f"{dotted}()")
+            for lock_id in acquired:
+                for held_id in held:
+                    pairs.setdefault((held_id, lock_id), site)
 
         findings: list = []
         for cycle in _find_cycles(pairs):
@@ -299,14 +133,14 @@ class LockOrderRule:
                     hint=("split the locked region or switch the "
                           "shared lock to RLock deliberately"),
                 ))
-        for qual, scan in scans.items():
+        for scan in scans:
+            dotted = scan.info.qualname.partition("::")[2]
             for line, held in scan.awaits:
                 findings.append(Finding(
                     rule="lock-order", path=scan.info.module.path,
                     line=line,
                     message=(f"await while holding threading lock "
-                             f"{held[-1]} in "
-                             f"{qual.partition('::')[2]}(); the event "
+                             f"{held[-1]} in {dotted}(); the event "
                              "loop blocks behind a thread mutex"),
                     hint=("release the lock before awaiting, or use "
                           "an asyncio.Lock for loop-side exclusion"),

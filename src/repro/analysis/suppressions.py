@@ -8,8 +8,10 @@ convention, enforced by review.
 
 Suppressions are themselves checked: one that silences nothing is
 reported as an ``unused-suppression`` finding, so stale allows cannot
-accumulate and quietly mask future regressions. Unused-suppression
-findings cannot be suppressed.
+accumulate and quietly mask future regressions. An allow naming an id
+no rule registers (a typo, or a rule since removed) can never silence
+anything and is reported on every run, whatever ``--rule`` selects.
+Unused-suppression findings cannot be suppressed.
 
 Comments are found with :mod:`tokenize`, so ``repro: allow[...]``
 inside a string literal never counts as a suppression.
@@ -24,11 +26,15 @@ from dataclasses import dataclass, field
 
 from .findings import Finding
 from .project import ModuleSource
+from .registry import rule_names
 
 __all__ = ["Suppression", "SuppressionIndex", "UNUSED_RULE_ID",
            "collect_suppressions"]
 
 UNUSED_RULE_ID = "unused-suppression"
+
+#: always-on ids no allow can silence
+_META_RULES = (UNUSED_RULE_ID, "parse-error")
 
 _ALLOW_RE = re.compile(r"repro:\s*allow\[([^\]]+)\]")
 
@@ -98,9 +104,10 @@ class SuppressionIndex:
         """Drop suppressed findings; append unused-suppression findings.
 
         ``active_rules`` is the set this run actually executed: an
-        allow for a rule that was filtered out with ``--rule`` is
-        neither applied nor reported unused.
+        allow for a registered rule that was filtered out with
+        ``--rule`` is neither applied nor reported unused.
         """
+        registered = set(rule_names())
         kept: list[Finding] = []
         for finding in findings:
             matched = None
@@ -114,18 +121,23 @@ class SuppressionIndex:
                 kept.append(finding)
         for suppression in self._suppressions:
             for rule in suppression.rules:
-                # an allow[unused-suppression] can never match anything
-                # (the meta-rule is unsuppressable), so it is stale by
-                # definition whatever rules ran
-                if rule != UNUSED_RULE_ID and rule not in active_rules:
+                # an allow for a meta-rule (unsuppressable) or for an
+                # id no rule registers can never match anything, so it
+                # is stale whatever rules ran
+                if rule in registered and rule not in active_rules:
                     continue
-                if rule not in suppression.used:
-                    kept.append(Finding(
-                        rule=UNUSED_RULE_ID,
-                        path=suppression.path,
-                        line=suppression.line,
-                        message=(f"allow[{rule}] suppresses nothing on "
-                                 f"line {suppression.target_line}"),
-                        hint="remove the stale suppression comment",
-                    ))
+                if rule in suppression.used:
+                    continue
+                if rule in registered or rule in _META_RULES:
+                    message = (f"allow[{rule}] suppresses nothing on "
+                               f"line {suppression.target_line}")
+                else:
+                    message = f"allow[{rule}] names no registered rule"
+                kept.append(Finding(
+                    rule=UNUSED_RULE_ID,
+                    path=suppression.path,
+                    line=suppression.line,
+                    message=message,
+                    hint="remove the stale suppression comment",
+                ))
         return kept

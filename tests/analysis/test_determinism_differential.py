@@ -9,12 +9,15 @@ is involved.
 """
 
 from repro.analysis import CheckConfig, Project
-from repro.analysis.rules.determinism import DeterminismRule, legacy_findings
+from repro.analysis.rules.determinism import (
+    DeterminismRule,
+    flow_findings,
+    legacy_findings,
+)
 
 from test_rules import DET_CLEAN, DET_VIOLATION
 
-CONFIG = CheckConfig(determinism_paths=("pkg/det.py",),
-                     taint_paths=("pkg/det.py",))
+CONFIG = CheckConfig(determinism_paths=("pkg/det.py",))
 
 #: invisible to the legacy matcher: the clock is laundered through a
 #: local before reaching the serialization sink
@@ -49,6 +52,17 @@ def test_ported_rule_is_superset_on_every_corpus_entry():
         assert old <= new, (
             f"corpus[{name}]: ported rule lost legacy findings: "
             f"{sorted(old - new)}")
+
+
+def test_rule_reports_every_flow_finding():
+    for name, source in CORPUS.items():
+        project = Project.from_sources({"pkg/det.py": source},
+                                       config=CONFIG)
+        flows = {f.sort_key() for f in flow_findings(project)}
+        _, new = both(source)
+        assert flows <= new, (
+            f"corpus[{name}]: rule lost flow findings: "
+            f"{sorted(flows - new)}")
 
 
 def test_ported_rule_strictly_exceeds_on_laundered_flows():

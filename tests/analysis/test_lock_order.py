@@ -1,12 +1,10 @@
 """lock-order rule: cycles, re-acquisition, await-under-lock."""
 
-from repro.analysis import CheckConfig, Project, check_project
-
-CONFIG = CheckConfig(lock_order_paths=("pkg/locked.py",))
+from repro.analysis import Project, check_project
 
 
-def run_on(sources, config=CONFIG):
-    project = Project.from_sources(sources, config=config)
+def run_on(sources):
+    project = Project.from_sources(sources)
     return check_project(project, rules=["lock-order"]).findings
 
 
@@ -158,5 +156,17 @@ def test_asyncio_lock_is_not_a_threading_lock():
     assert run_on({"pkg/locked.py": ASYNC_LOCK_CLEAN}) == ()
 
 
-def test_rule_ignores_out_of_scope_modules():
-    assert run_on({"pkg/other.py": CYCLE}) == ()
+def test_every_module_joins_the_lock_graph():
+    # no path scoping: the two halves of a cycle in different modules
+    # still close it
+    forward, backward = CYCLE.split("    def backward(self):")
+    other = (
+        "from pkg.locked import Store\n\n"
+        "def backward(store):\n"
+        "    with store._b:\n"
+        "        with store._a:\n"
+        "            pass\n")
+    findings = run_on({"pkg/locked.py": forward, "pkg/other.py": other})
+    assert {f.path for f in findings} == {"pkg/locked.py", "pkg/other.py"}
+    assert all("Store._a -> Store._b -> Store._a" in f.message
+               for f in findings)

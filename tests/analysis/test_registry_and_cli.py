@@ -1,6 +1,8 @@
 """Rule registry semantics, the ``repro check`` CLI, and the acceptance gate."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -13,19 +15,23 @@ from repro.analysis import (
     register_rule,
     rule_names,
     rule_registry,
-    run_check,
 )
 from repro.analysis.registry import _REGISTRY
 from repro.cli import main
 
 BUILTIN_RULES = ("async-safety", "determinism", "exception-flow",
-                 "fingerprint-taint", "lock-discipline", "lock-order",
+                 "lock-discipline", "lock-order",
                  "registry-discipline", "serialization",
                  "vectorization-discipline")
 
+#: always-on ids with no registry entry
+META_RULES = ("parse-error", "unused-suppression")
+
+ROOT = Path(__file__).resolve().parents[2]
+
 
 def test_builtin_rules_registered():
-    assert set(BUILTIN_RULES) <= set(rule_names())
+    assert rule_names() == BUILTIN_RULES
 
 
 def test_get_rule_instantiates_and_unknown_raises():
@@ -131,6 +137,17 @@ def test_cli_check_unknown_rule_exits_two(tmp_path, capsys):
     assert "unknown rule" in capsys.readouterr().err
 
 
+def test_cli_check_removed_rule_exits_two_naming_known_rules(tmp_path,
+                                                            capsys):
+    # fingerprint-taint was folded into determinism: no alias remains
+    assert main(["check", "--rule", "fingerprint-taint",
+                 str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown rule 'fingerprint-taint'" in err
+    for name in BUILTIN_RULES:
+        assert name in err
+
+
 def test_cli_check_unknown_rule_among_known_still_exits_two(tmp_path,
                                                             capsys):
     # a typo must not silently degrade to "run the rules that parsed"
@@ -153,14 +170,58 @@ def test_cli_check_list_rules(capsys):
         assert name in out
 
 
+def test_checks_doc_has_one_section_per_rule():
+    headings = [line for line in
+                (ROOT / "docs" / "CHECKS.md").read_text().splitlines()
+                if line.startswith("### ")]
+    documented = [rule for line in headings
+                  for rule in re.findall(r"`([a-z-]+)`", line)]
+    assert sorted(documented) == sorted(rule_names() + META_RULES)
+
+
 # -- acceptance: the shipped tree stays clean ------------------------------
 
-def test_repro_check_src_is_clean():
-    """Acceptance gate: ``repro check src/`` exits 0 on the shipped tree."""
-    from pathlib import Path
+@pytest.fixture(scope="module")
+def src_project():
+    return Project.from_paths([ROOT / "src"])
 
-    src = Path(__file__).resolve().parents[2] / "src"
-    result = run_check([src])
+
+def test_repro_check_src_is_clean(src_project):
+    """Acceptance gate: ``repro check src/`` exits 0 on the shipped tree."""
+    result = check_project(src_project)
     assert result.findings == (), "\n" + "\n".join(
         f.format() for f in result.findings)
     assert result.module_count > 50
+
+
+#: every finding on ``src/`` before suppressions, as ``(path, line)``
+#: under ``src/repro/`` (``"flow"`` marks determinism's flow finding)
+RAW_DETERMINISM = sorted([
+    ("campaigns/manifest.py", 84), ("campaigns/manifest.py", 213),
+    ("campaigns/manifest.py", 213, "flow"),
+    *(("service/state.py", line)
+      for line in (61, 75, 121, 132, 142, 153, 184, 201, 319)),
+])
+RAW_LOCK_DISCIPLINE = [("service/server.py", line)
+                       for line in (314, 322, 339, 348, 362)]
+RAW_COUNTS = {"async-safety": 0, "exception-flow": 0,
+              "registry-discipline": 9, "serialization": 4,
+              "vectorization-discipline": 8}
+
+
+def test_raw_findings_on_src_match_golden(src_project):
+    """Every rule on ``src/`` without suppressions: known findings only."""
+    raw = {name: get_rule(name).check(src_project) for name in rule_names()}
+
+    def located(findings):
+        out = []
+        for f in findings:
+            path = f.path.replace("\\", "/").split("src/repro/", 1)[1]
+            flow = ("flow",) if "flows into" in f.message else ()
+            out.append((path, f.line, *flow))
+        return sorted(out)
+
+    assert located(raw["determinism"]) == RAW_DETERMINISM
+    assert located(raw["lock-discipline"]) == RAW_LOCK_DISCIPLINE
+    assert raw["lock-order"] == []
+    assert {name: len(raw[name]) for name in RAW_COUNTS} == RAW_COUNTS

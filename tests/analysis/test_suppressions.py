@@ -78,6 +78,21 @@ def test_unused_suppression_not_reported_for_inactive_rule():
     assert run(source, rules=["lock-discipline"]) == ()
 
 
+def test_allow_for_unregistered_rule_reported_whatever_rules_ran():
+    # an id no rule registers (a typo, or the folded-away
+    # fingerprint-taint) can never silence anything: stale on every run
+    source = (
+        "import time\n"
+        "NOW = time.time()  "
+        "# repro: allow[determinism, fingerprint-taint] display only\n"
+    )
+    for rules in (None, ["determinism"], ["lock-discipline"]):
+        findings = run(source, rules=rules)
+        assert [(f.rule, f.line) for f in findings] == [(UNUSED_RULE_ID, 2)]
+        assert findings[0].message == \
+            "allow[fingerprint-taint] names no registered rule"
+
+
 def test_unused_suppression_cannot_be_suppressed():
     source = (
         "import json\n"

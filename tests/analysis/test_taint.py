@@ -1,13 +1,24 @@
-"""fingerprint-taint rule: laundered nondeterminism reaching key sinks."""
+"""determinism rule, flow half: laundered nondeterminism reaching key sinks.
+
+The per-statement half also fires on a fixture whose source line
+pattern-matches (``stamp = time.time()``); each test pins those
+findings separately from the flow findings it is about.
+"""
 
 from repro.analysis import CheckConfig, Project, check_project
 
-CONFIG = CheckConfig(taint_paths=("pkg/fp.py",))
+CONFIG = CheckConfig(determinism_paths=("pkg/fp.py",))
 
 
 def run_on(sources, config=CONFIG):
     project = Project.from_sources(sources, config=config)
-    return check_project(project, rules=["fingerprint-taint"]).findings
+    return check_project(project, rules=["determinism"]).findings
+
+
+def split(findings):
+    """``(flow findings, lines of the per-statement findings)``."""
+    flows = [f for f in findings if "flows into" in f.message]
+    return flows, [f.line for f in findings if f not in flows]
 
 
 #: the ISSUE's seeded fixture: wall-clock -> intermediate -> fingerprint
@@ -48,10 +59,11 @@ def build_key(job):
 
 
 def test_wall_clock_through_local_into_fingerprint_is_caught():
-    findings = run_on({"pkg/fp.py": TAINT_VIOLATION})
+    findings, statement_lines = split(run_on({"pkg/fp.py": TAINT_VIOLATION}))
+    assert statement_lines == [7]  # the time.time() reference itself
     assert len(findings) == 1
     (finding,) = findings
-    assert finding.rule == "fingerprint-taint"
+    assert finding.rule == "determinism"
     assert "wall-clock" in finding.message
     assert "fingerprint" in finding.message
     assert finding.line == 9  # the fingerprint(salted) call site
@@ -67,7 +79,8 @@ def test_clean_fixture_passes():
 
 def test_unsanitized_set_order_is_caught():
     source = TAINT_SANITIZED.replace("sorted(set(tags))", "list(set(tags))")
-    findings = run_on({"pkg/fp.py": source})
+    findings, statement_lines = split(run_on({"pkg/fp.py": source}))
+    assert statement_lines == [5]  # list(set(...)) itself
     assert len(findings) == 1
     assert "hash-order" in findings[0].message
 
@@ -81,7 +94,8 @@ def test_entropy_flow_through_fstring_is_caught():
         "    run_id = uuid.uuid4().hex\n"
         "    label = f'{job}-{run_id}'\n"
         "    return fingerprint(label)\n")
-    findings = run_on({"pkg/fp.py": source})
+    findings, statement_lines = split(run_on({"pkg/fp.py": source}))
+    assert statement_lines == [5]  # the uuid.uuid4 reference itself
     assert len(findings) == 1
     assert "entropy" in findings[0].message
 
@@ -114,21 +128,41 @@ def test_json_dumps_and_memo_sinks():
         "    blob = json.dumps({'at': stamp}, sort_keys=True)\n"
         "    memo.store(stamp, payload)\n"
         "    return blob\n")
-    findings = run_on({"pkg/fp.py": source})
+    findings, statement_lines = split(run_on({"pkg/fp.py": source}))
+    assert statement_lines == [3]
     sinks = {f.message.split("flows into ")[1] for f in findings}
     assert sinks == {"json.dumps()", "memo.store()"}
 
 
+def test_duration_clocks_are_flow_only_sources():
+    # reading a monotonic/perf counter is fine; keying on one is not
+    for clock in ("time.monotonic", "time.perf_counter"):
+        source = (
+            "import time\n"
+            "def fingerprint(payload):\n"
+            "    return hash(payload)\n"
+            "def build_key(job):\n"
+            f"    started = {clock}()\n"
+            "    return fingerprint((job, started))\n")
+        findings, statement_lines = split(run_on({"pkg/fp.py": source}))
+        assert statement_lines == []
+        assert len(findings) == 1
+        assert f"wall-clock value from {clock} (line 5)" \
+            in findings[0].message
+
+
 def test_suppression_silences_a_deliberate_flow():
+    # a duration clock is a flow-only source: the sink line is the
+    # only finding, and the allow on it silences it
     source = (
         "import time\n"
         "def fingerprint(payload):\n"
         "    return hash(payload)\n"
         "def build_key(job):\n"
-        "    stamp = time.time()\n"
+        "    stamp = time.monotonic()\n"
         "    return fingerprint(stamp)  "
-        "# repro: allow[fingerprint-taint] test fixture\n")
+        "# repro: allow[determinism] test fixture\n")
     project = Project.from_sources({"pkg/fp.py": source}, config=CONFIG)
-    result = check_project(project, rules=["fingerprint-taint"])
+    result = check_project(project, rules=["determinism"])
     assert result.findings == ()
     assert result.suppression_count == 1
