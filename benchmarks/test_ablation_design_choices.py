@@ -5,12 +5,13 @@ Mist's design on this reproduction:
 
 1. **interference-model calibration** — prediction error with seed
    factors vs factors fitted to the engine's contention ground truth;
-2. **MILP vs exact enumeration** — the inter-stage solver matches
-   exhaustive search where enumeration is feasible, at much lower cost
-   on larger menus;
-3. **Pareto-point budget** — how many sampled frontier points the MILP
-   needs before the objective stops improving (the paper's "Pareto
-   frontier sampling" knob).
+2. **DP vs MILP vs exact enumeration** — the inter-stage DP matches
+   the HiGHS MILP and exhaustive search (both kept as oracles in
+   :mod:`repro.reference`) where enumeration is feasible, at much lower
+   cost on larger menus;
+3. **Pareto-point budget** — how many sampled frontier points the
+   inter-stage solver needs before the objective stops improving (the
+   paper's "Pareto frontier sampling" knob).
 """
 
 import time
@@ -18,7 +19,7 @@ import time
 import numpy as np
 
 from repro.core import MistTuner, SPACE_MIST, SymbolicPerformanceAnalyzer
-from repro.core.inter_stage import solve_exact, solve_milp
+from repro.core.inter_stage import solve
 from repro.core.intra_stage import ParetoPoint
 from repro.core.plan import StageConfig, uniform_plan
 from repro.costmodel import InterferenceModel
@@ -26,6 +27,7 @@ from repro.evaluation import calibrated_interference, format_table
 from repro.execution import ExecutionEngine
 from repro.hardware import make_cluster
 from repro.models import get_model
+from repro.reference import solve_exact, solve_milp
 from repro.tracing import trace
 
 MODEL = get_model("gpt3-1.3b")
@@ -106,25 +108,33 @@ def test_ablation_milp_vs_exact(report, benchmark):
             t0 = time.perf_counter()
             milp = solve_milp(menus, total, gacc=8)
             t_milp = time.perf_counter() - t0
-            rows.append((num_stages, exact, milp, t_exact, t_milp))
+            t0 = time.perf_counter()
+            dp = solve(menus, total, gacc=8)
+            t_dp = time.perf_counter() - t0
+            rows.append((num_stages, exact, milp, dp,
+                         t_exact, t_milp, t_dp))
         return rows
 
     rows = benchmark.pedantic(measure, rounds=1, iterations=1)
     table = []
-    for num_stages, exact, milp, t_exact, t_milp in rows:
-        assert (exact is None) == (milp is None)
+    for num_stages, exact, milp, dp, t_exact, t_milp, t_dp in rows:
+        assert (exact is None) == (milp is None) == (dp is None)
         if exact is not None:
             assert abs(milp.objective - exact.objective) < 1e-6 * max(
                 1.0, exact.objective
             )
+            assert dp.objective == exact.objective
+            assert dp.choices == exact.choices
         table.append([num_stages,
                       f"{exact.objective:.3f}" if exact else "-",
                       f"{milp.objective:.3f}" if milp else "-",
-                      f"{t_exact * 1e3:.1f} ms", f"{t_milp * 1e3:.1f} ms"])
-    report("Ablation — inter-stage MILP vs exhaustive enumeration\n"
+                      f"{dp.objective:.3f}" if dp else "-",
+                      f"{t_exact * 1e3:.1f} ms", f"{t_milp * 1e3:.1f} ms",
+                      f"{t_dp * 1e3:.1f} ms"])
+    report("Ablation — inter-stage DP vs MILP vs exhaustive enumeration\n"
            + format_table(
-               ["stages", "exact obj", "MILP obj", "exact time",
-                "MILP time"], table,
+               ["stages", "exact obj", "MILP obj", "DP obj", "exact time",
+                "MILP time", "DP time"], table,
            ))
 
 

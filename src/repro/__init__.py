@@ -59,7 +59,7 @@ from .hardware import (
 from .models import ModelConfig, get_model, list_models
 from . import api
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "ClusterSpec",

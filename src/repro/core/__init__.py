@@ -6,7 +6,7 @@ from .analyzer import (
     StagePrediction,
     SymbolicPerformanceAnalyzer,
 )
-from .inter_stage import InterStageSolution, solve, solve_exact, solve_milp
+from .inter_stage import InterStageSolution, solve
 from .intra_stage import IntraStageTuner, ParetoPoint, StageShape
 from .objectives import (
     pipeline_iteration_time,
@@ -83,8 +83,6 @@ __all__ = [
     "pipeline_time_uniform",
     "throughput",
     "solve",
-    "solve_exact",
-    "solve_milp",
     "uniform_plan",
     "zero_flags",
 ]

@@ -1,4 +1,4 @@
-"""Inter-stage tuning: the imbalance-aware MILP (paper Eq. 2/3).
+"""Inter-stage tuning: the imbalance-aware stage partition (paper Eq. 2/3).
 
 Given, for every stage position ``i`` and candidate layer count ``l``, a
 menu of Pareto points ``(t, d)`` from intra-stage tuning, choose one
@@ -7,34 +7,33 @@ and
 
     (G-1) * max_i t_i  +  sum_i t_i  +  max_i (d_i - sum_{j<i} t_j)
 
-is minimized. Both max terms linearize as ``>=`` constraints, so the
-problem is a pure binary assignment MILP solved with scipy's HiGHS
-backend — the off-the-shelf-solver route the paper takes.
-
-:func:`solve_exact` enumerates assignments for small instances and is
-used to validate the MILP in tests. :func:`solve` picks automatically.
+is minimized — the 1F1B pipeline-time model of Narayanan et al. plus
+Mist's imbalance term. The paper hands this problem to an
+off-the-shelf MILP solver; :func:`solve` minimizes it exactly with a
+dynamic program over bottleneck thresholds instead, which needs no
+solver dependency and fixes the choice among tied optima. The HiGHS
+MILP (:func:`repro.reference.solve_milp`) and exhaustive enumeration
+(:func:`repro.reference.solve_exact`) are kept as test oracles.
 
 Heterogeneous clusters extend the stage partition with a *device-group
 assignment*: every pipeline stage is pinned to one
 :class:`~repro.hardware.topology.DeviceGroup` (contiguously, in group
 order), and its menu of Pareto points is produced by that group's
 analyzer — so each ``(t, d)`` option already reflects the group's
-calibrated cost model and memory budget. The MILP itself is unchanged:
-it only sees per-stage menus, which now differ per group.
+calibrated cost model and memory budget. The solver itself is
+unchanged: it only sees per-stage menus, which now differ per group.
 :func:`group_stage_assignments` enumerates the candidate assignments
 the outer tuner loops over.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.sparse import lil_matrix
 
 from repro.hardware import DeviceGroup, HeterogeneousCluster
 
@@ -47,8 +46,6 @@ __all__ = [
     "group_stage_assignments",
     "objective_lower_bound",
     "solve",
-    "solve_milp",
-    "solve_exact",
 ]
 
 #: relative safety margin subtracted from lower bounds before they are
@@ -56,6 +53,15 @@ __all__ = [
 #: per-layer cost estimate so a bound can never spuriously exceed the
 #: true objective it underestimates
 _BOUND_SAFETY = 1e-9
+
+#: relative slack within which :func:`solve` treats assignments as tied
+#: and re-scores them with :func:`pipeline_iteration_time`, so rounding
+#: in the DP's own sums never decides between exact ties. Far below the
+#: tuner's 1e-9 option-cut margin, so cutting menus keeps every tie.
+_TIE_RTOL = 1e-12
+
+#: most tied assignments :func:`solve` re-scores; real menus have few
+_MAX_TIES = 4096
 
 
 def objective_lower_bound(per_layer_floor: float, total_layers: int,
@@ -142,154 +148,215 @@ class InterStageSolution:
         return [point.config.layers for point in self.choices]
 
 
-def _flatten(menus: Menus) -> list[list[tuple[int, ParetoPoint]]]:
-    """menus -> per-stage option lists [(l, point), ...]."""
+
+
+class _Option(NamedTuple):
+    """One entry of a stage's flattened menu."""
+
+    position: int       # in the stage's flattened menu
+    layers: int
+    t: float
+    d: float            # 0 when the solve ignores imbalance
+    point: ParetoPoint
+
+
+def _flatten(menus: Menus, imbalance_aware: bool) -> list[list[_Option]]:
+    """menus -> per-stage options, by layer count then menu position."""
     options = []
     for stage_menu in menus:
-        stage_options = [
-            (l, point)
-            for l, points in sorted(stage_menu.items())
-            for point in points
-        ]
-        options.append(stage_options)
+        stage: list[_Option] = []
+        for l, points in sorted(stage_menu.items()):
+            for point in points:
+                stage.append(_Option(len(stage), l, point.t,
+                                     point.d if imbalance_aware else 0.0,
+                                     point))
+        options.append(stage)
     return options
 
 
-def solve_exact(menus: Menus, total_layers: int, gacc: int,
-                imbalance_aware: bool = True) -> InterStageSolution | None:
-    """Exhaustive enumeration (exponential; for tests / tiny instances)."""
-    options = _flatten(menus)
-    if any(not opts for opts in options):
-        return None
-    best: InterStageSolution | None = None
-    for combo in itertools.product(*options):
-        if sum(l for l, _ in combo) != total_layers:
-            continue
-        t = np.array([p.t for _, p in combo])
-        d = np.array([p.d for _, p in combo])
-        if not imbalance_aware:
-            d = np.zeros_like(d)
-        objective = pipeline_iteration_time(t, d, gacc)
-        if best is None or objective < best.objective:
-            best = InterStageSolution(
-                objective=objective, choices=[p for _, p in combo]
-            )
-    return best
+Front = list[tuple[float, float]]
+"""Pareto front of suffix states ``(S, M)``: ``S`` ascending, ``M``
+strictly descending."""
 
 
-def solve_milp(menus: Menus, total_layers: int, gacc: int,
-               imbalance_aware: bool = True,
-               time_limit: float = 30.0) -> InterStageSolution | None:
-    """Eq. (2) as a binary MILP solved by HiGHS.
+def _pareto(states: list[tuple[float, float]]) -> Front:
+    states.sort()
+    front: Front = []
+    best_m = math.inf
+    for s, m in states:
+        if m < best_m:
+            front.append((s, m))
+            best_m = m
+    return front
 
-    Variables: ``x[i, o]`` (stage ``i`` picks option ``o``), plus the
-    bottleneck time ``T`` and the exposed-delta bound ``Z``.
+
+def _suffix_fronts(options: list[list[_Option]], bottleneck: float,
+                   reach: list[tuple[int, int]],
+                   ) -> list[dict[int, Front]] | None:
+    """``fronts[i][r]``: the suffix states of stages ``i..`` on ``r`` layers.
+
+    A suffix state is ``(S, M)`` with ``S = sum_{j>=i} t_j`` and
+    ``M = max_{k>=i} (d_k + sum_{j>=k} t_j)``, over the options with
+    ``t <= bottleneck``. Prepending a stage maps ``(S, M)`` to
+    ``(S + t, max(M, d + t + S))``, which never decreases either
+    coordinate, so a dominated state can never complete to a better
+    plan and dropping it is exact. ``reach[i]`` bounds ``r`` by the
+    layers stages ``0..i-1`` can still take. ``None`` if some stage has
+    no usable option.
     """
-    options = _flatten(menus)
-    if any(not opts for opts in options):
-        return None
-    num_stages = len(options)
-    offsets = np.cumsum([0] + [len(opts) for opts in options])
-    n_x = int(offsets[-1])
-    n_vars = n_x + 2  # + T, Z
-    iT, iZ = n_x, n_x + 1
+    n = len(options)
+    fronts: list[dict[int, Front]] = [{} for _ in range(n)]
+    fronts.append({0: [(0.0, -math.inf)]})
+    for i in range(n - 1, -1, -1):
+        lo, hi = reach[i]
+        states: dict[int, list[tuple[float, float]]] = {}
+        for opt in options[i]:
+            if opt.t > bottleneck:
+                continue
+            t, dt = opt.t, opt.d + opt.t
+            for r_next, front in fronts[i + 1].items():
+                r = r_next + opt.layers
+                if lo <= r <= hi:
+                    states.setdefault(r, []).extend(
+                        (s + t, max(m, dt + s)) for s, m in front)
+        if not states:
+            return None
+        fronts[i] = {r: _pareto(found) for r, found in states.items()}
+    return fronts
 
-    t_coef = np.concatenate([
-        np.array([p.t for _, p in opts]) for opts in options
-    ])
-    d_coef = np.concatenate([
-        np.array([p.d for _, p in opts]) for opts in options
-    ])
-    l_coef = np.concatenate([
-        np.array([l for l, _ in opts], dtype=float) for opts in options
-    ])
-    if not imbalance_aware:
-        d_coef = np.zeros_like(d_coef)
 
-    # objective: (G-1) T + sum_i t_i + Z
-    c = np.zeros(n_vars)
-    c[:n_x] = t_coef
-    c[iT] = gacc - 1
-    c[iZ] = 1.0
+def _min_time_sum(options: list[list[_Option]], total_layers: int,
+                  reach: list[tuple[int, int]],
+                  bottleneck: float = math.inf) -> float:
+    """Smallest ``sum_i t_i`` over the assignments on ``total_layers``
+    layers with every ``t <= bottleneck``; ``inf`` when there is none."""
+    best = {0: 0.0}
+    for i in range(len(options) - 1, -1, -1):
+        lo, hi = reach[i]
+        found: dict[int, float] = {}
+        for opt in options[i]:
+            if opt.t > bottleneck:
+                continue
+            for r_next, s in best.items():
+                r = r_next + opt.layers
+                if lo <= r <= hi and s + opt.t < found.get(r, math.inf):
+                    found[r] = s + opt.t
+        best = found
+    return best.get(total_layers, math.inf)
 
-    constraints = []
 
-    # one option per stage
-    a_pick = lil_matrix((num_stages, n_vars))
-    for i in range(num_stages):
-        a_pick[i, offsets[i]:offsets[i + 1]] = 1.0
-    constraints.append(LinearConstraint(a_pick.tocsr(), 1.0, 1.0))
+def _near_optimal(options: list[list[_Option]], fronts: list[dict[int, Front]],
+                  bottleneck: float, total_layers: int, steady: float,
+                  limit: float) -> Iterator[tuple[int, ...]]:
+    """Menu-order walk over the assignments with all ``t <= bottleneck``
+    whose objective, reading ``max t`` as ``bottleneck``, is ``<= limit``.
 
-    # layer counts sum to the model depth
-    a_layers = lil_matrix((1, n_vars))
-    a_layers[0, :n_x] = l_coef
-    constraints.append(
-        LinearConstraint(a_layers.tocsr(), total_layers, total_layers)
-    )
+    With prefix sum ``P`` and prefix exposure
+    ``X = max(0, max_{k<i} (d_k - sum_{j<k} t_j))``, a suffix state
+    ``(S, M)`` completes to ``steady + max(P + S + X, M)``; the minimum
+    over the next stage's front bounds every completion of the prefix.
+    """
+    n = len(options)
+    picks: list[int] = []
 
-    # T >= t_i for every stage
-    a_bottleneck = lil_matrix((num_stages, n_vars))
-    for i in range(num_stages):
-        a_bottleneck[i, offsets[i]:offsets[i + 1]] = -t_coef[
-            offsets[i]:offsets[i + 1]
-        ]
-        a_bottleneck[i, iT] = 1.0
-    constraints.append(LinearConstraint(a_bottleneck.tocsr(), 0.0, np.inf))
+    def walk(i: int, left: int, prefix: float,
+             exposed: float) -> Iterator[tuple[int, ...]]:
+        for opt in options[i]:
+            if opt.t > bottleneck:
+                continue
+            front = fronts[i + 1].get(left - opt.layers)
+            if front is None:
+                continue
+            p = prefix + opt.t
+            x = max(exposed, opt.d - prefix)
+            if steady + min(max(p + s + x, m) for s, m in front) > limit:
+                continue
+            picks.append(opt.position)
+            if i + 1 == n:
+                yield tuple(picks)
+            else:
+                yield from walk(i + 1, left - opt.layers, p, x)
+            picks.pop()
 
-    # Z >= d_i - sum_{j<i} t_j for every stage
-    a_delta = lil_matrix((num_stages, n_vars))
-    for i in range(num_stages):
-        a_delta[i, offsets[i]:offsets[i + 1]] = -d_coef[
-            offsets[i]:offsets[i + 1]
-        ]
-        for j in range(i):
-            a_delta[i, offsets[j]:offsets[j + 1]] = t_coef[
-                offsets[j]:offsets[j + 1]
-            ]
-        a_delta[i, iZ] = 1.0
-    constraints.append(LinearConstraint(a_delta.tocsr(), 0.0, np.inf))
-
-    integrality = np.concatenate([np.ones(n_x), np.zeros(2)])
-    bounds = Bounds(
-        lb=np.zeros(n_vars),
-        ub=np.concatenate([np.ones(n_x), [np.inf, np.inf]]),
-    )
-
-    result = milp(
-        c=c,
-        constraints=constraints,
-        integrality=integrality,
-        bounds=bounds,
-        options={"time_limit": time_limit, "presolve": True},
-    )
-    if not result.success or result.x is None:
-        return None
-
-    choices: list[ParetoPoint] = []
-    for i in range(num_stages):
-        slice_x = result.x[offsets[i]:offsets[i + 1]]
-        picked = int(np.argmax(slice_x))
-        if slice_x[picked] < 0.5:
-            return None  # infeasible relaxation artefact
-        choices.append(options[i][picked][1])
-
-    # Recompute the objective exactly (guards against MILP tolerance).
-    t = np.array([p.t for p in choices])
-    d = np.array([p.d for p in choices])
-    if not imbalance_aware:
-        d = np.zeros_like(d)
-    objective = pipeline_iteration_time(t, d, gacc)
-    return InterStageSolution(objective=objective, choices=choices)
+    yield from walk(0, total_layers, 0.0, 0.0)
 
 
 def solve(menus: Menus, total_layers: int, gacc: int, *,
-          imbalance_aware: bool = True,
-          exact_threshold: int = 2000) -> InterStageSolution | None:
-    """Dispatch to exact enumeration (tiny instances) or the MILP."""
-    options = _flatten(menus)
-    if any(not opts for opts in options):
+          imbalance_aware: bool = True) -> InterStageSolution | None:
+    """Exact minimum of Eq. (2) by a bottleneck-threshold DP.
+
+    With ``T = max_i t_i`` the objective reads
+
+        (G - 1) * T  +  max(sum_i t_i,  max_i (d_i + sum_{j>=i} t_j))
+
+    (``d = 0`` when ``imbalance_aware`` is off). For each distinct
+    ``t`` taken as the bottleneck ``T``, in ascending order,
+    :func:`_suffix_fronts` keeps the Pareto front of suffix states per
+    layer count over the options with ``t <= T``; the front of the
+    whole pipeline on ``total_layers`` layers gives the best plan whose
+    bottleneck is at most ``T``. The sweep starts at the smallest
+    feasible ``T`` (feasibility only grows with ``T``, so bisection
+    finds it) and stops once ``(G - 1) * T`` plus the smallest feasible
+    ``sum_i t_i`` exceeds the best objective found.
+
+    Tie rule: every assignment within a relative ``_TIE_RTOL`` of the
+    optimum is re-scored with :func:`pipeline_iteration_time`, and the
+    smallest score wins; equal scores go to the first assignment in
+    menu order (stage 0 most significant; a stage's options ordered by
+    layer count, then menu position). That is the order of exhaustive
+    enumeration, so the choice equals
+    :func:`repro.reference.solve_exact`'s. At most ``_MAX_TIES`` tied
+    assignments are scored, the lowest bottlenecks first. Returns
+    ``None`` when no assignment uses exactly ``total_layers`` layers.
+    """
+    options = _flatten(menus, imbalance_aware)
+    if not options or any(not stage for stage in options):
         return None
-    combos = math.prod(len(opts) for opts in options)
-    if combos <= exact_threshold:
-        return solve_exact(menus, total_layers, gacc, imbalance_aware)
-    return solve_milp(menus, total_layers, gacc, imbalance_aware)
+    reach: list[tuple[int, int]] = []
+    below_min = below_max = 0
+    for stage in options:
+        reach.append((total_layers - below_max, total_layers - below_min))
+        below_min += min(opt.layers for opt in stage)
+        below_max += max(opt.layers for opt in stage)
+    floor = _min_time_sum(options, total_layers, reach)
+    if floor == math.inf:
+        return None
+    steady = gacc - 1
+    bottlenecks = sorted({opt.t for stage in options for opt in stage})
+    if steady == 0:
+        bottlenecks = bottlenecks[-1:]  # T does not enter the objective
+    else:
+        bottlenecks = bottlenecks[bisect.bisect_left(
+            bottlenecks, True, key=lambda bottleneck: _min_time_sum(
+                options, total_layers, reach, bottleneck) < math.inf):]
+
+    best = math.inf
+    solved: list[tuple[float, float, list[dict[int, Front]]]] = []
+    for bottleneck in bottlenecks:
+        if steady * bottleneck + floor > best * (1.0 + _TIE_RTOL):
+            break
+        fronts = _suffix_fronts(options, bottleneck, reach)
+        if fronts is None or total_layers not in fronts[0]:
+            continue
+        value = steady * bottleneck + min(
+            max(s, m) for s, m in fronts[0][total_layers])
+        best = min(best, value)
+        solved.append((value, bottleneck, fronts))
+
+    limit = best * (1.0 + _TIE_RTOL)
+    tied = (picks for value, bottleneck, fronts in solved if value <= limit
+            for picks in _near_optimal(options, fronts, bottleneck,
+                                       total_layers, steady * bottleneck,
+                                       limit))
+    scores: dict[tuple[int, ...], float] = {}
+    for picks in tied:
+        if picks not in scores:
+            chosen = [options[i][o] for i, o in enumerate(picks)]
+            scores[picks] = pipeline_iteration_time(
+                [opt.t for opt in chosen], [opt.d for opt in chosen], gacc)
+            if len(scores) == _MAX_TIES:
+                break
+    picks = min(scores, key=lambda tie: (scores[tie], tie))
+    return InterStageSolution(
+        objective=scores[picks],
+        choices=[options[i][o].point for i, o in enumerate(picks)])

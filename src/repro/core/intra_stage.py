@@ -25,7 +25,7 @@ reference the differential tests compare against lives in
 per-row interpreters and routes the same columnar menu through them.
 
 The frontier — rather than a single winner — is the hand-off to the
-inter-stage MILP: different ``(t, d)`` trade-offs win depending on how
+inter-stage solver: different ``(t, d)`` trade-offs win depending on how
 many microbatches amortize the deltas and where the stage sits in the
 pipeline (the paper's Pareto-frontier sampling).
 """

@@ -8,7 +8,7 @@ discrete choices — pipeline depth ``S`` and gradient-accumulation steps
    ``(t_stable, d_delta)`` per stage position and candidate layer count
    (batched symbolic evaluation, memory-constrained);
 2. **inter-stage tuning** assembles them through the imbalance-aware
-   MILP (Eq. 2) into the best pipeline partition.
+   stage-partition DP (Eq. 2) into the best pipeline partition.
 
 The winner across all ``(S, G)`` becomes the output
 :class:`~repro.core.plan.TrainingPlan`. Searching the ``(S, G)`` grid is
@@ -51,7 +51,7 @@ additionally enumerates stage -> device-group assignments
 gets its own traced cost model and
 :class:`~repro.core.analyzer.SymbolicPerformanceAnalyzer` bounded by
 that group's GPU memory, so a stage menu offered to the inter-stage
-MILP always respects the device that would host it. A single-group
+solver always respects the device that would host it. A single-group
 heterogeneous cluster is reduced to its plain
 :class:`~repro.hardware.ClusterSpec` and follows the homogeneous code
 path bit for bit.
@@ -841,8 +841,7 @@ class MistTuner:
         }
 
     @staticmethod
-    def _cut_menus(menus: list, gacc: int,
-                   threshold: float) -> tuple[list, int]:
+    def _cut_menus(menus: list, gacc: int, threshold: float) -> list:
         """Drop stage options that provably cannot beat ``threshold``.
 
         For an option with stable time ``t`` in stage ``i``, every plan
@@ -851,9 +850,11 @@ class MistTuner:
         so when that exceeds the current k-th-best incumbent the option
         cannot appear in any plan that reaches the final top-k. Options
         of every plan with objective <= threshold survive by the same
-        inequality, which keeps the cell's returned solution identical
-        whenever it still matters for the ranking. Menus come from the
-        (shared, immutable) memo, so the cut builds filtered copies.
+        inequality, and the filter keeps menu order, so
+        :func:`~repro.core.inter_stage.solve` returns the same choices
+        on the cut menus whenever the cell's optimum is at or under the
+        threshold. Menus come from the (shared, immutable) memo, so the
+        cut builds filtered copies.
         """
         mins = []
         for stage in menus:
@@ -861,20 +862,17 @@ class MistTuner:
                        default=math.inf)
             mins.append(best)
         if any(not math.isfinite(m) for m in mins):
-            return menus, 0  # an empty stage: solve() returns None anyway
+            return menus  # an empty stage: solve() returns None anyway
         total_min = sum(mins)
         cut = []
-        removed = 0
         for i, stage in enumerate(menus):
             others = total_min - mins[i]
-            filtered = {}
-            for l, points in stage.items():
-                kept = [p for p in points
-                        if (gacc * p.t + others) * (1.0 - 1e-9) <= threshold]
-                removed += len(points) - len(kept)
-                filtered[l] = kept
-            cut.append(filtered)
-        return cut, removed
+            cut.append({
+                l: [p for p in points
+                    if (gacc * p.t + others) * (1.0 - 1e-9) <= threshold]
+                for l, points in stage.items()
+            })
+        return cut
 
     def _stage_shapes(self, task: tuple,
                       ) -> "list[tuple[str, StageShape, list[int]]]":
@@ -924,9 +922,10 @@ class MistTuner:
         evaluated/prefiltered counters its original computation
         recorded, keeping work accounting deterministic. A finite
         ``threshold`` additionally applies :meth:`_cut_menus` before
-        the inter-stage solve — plans that can still reach the top-k
-        are unaffected; a cell whose optimum is already worse may
-        resolve to a (correctly ranked) weaker solution or ``None``.
+        the inter-stage solve — a cell whose optimum is at or under the
+        threshold returns the same solution as on its full menus; a
+        cell whose optimum is already worse may resolve to a (correctly
+        ranked) weaker solution or ``None``.
         """
         gacc = task[2]
         counts = _CellCounts()
@@ -970,30 +969,10 @@ class MistTuner:
         menus = [menus_for(group, shape, lcounts)
                  for group, shape, lcounts in self._stage_shapes(task)]
 
-        def _solve(stage_menus: list,
-                   ) -> "inter_stage.InterStageSolution | None":
-            return inter_stage.solve(
-                stage_menus, self.model.num_layers, gacc,
-                imbalance_aware=self.space.imbalance_aware,
-            )
-
-        if not math.isfinite(threshold):
-            return _solve(menus), counts
-        # Screen-then-canonicalize: solve the option-cut menus first
-        # (cheap — dominated options gone). If the cell still lands at
-        # or under the incumbent threshold it may enter the top-k, so
-        # re-solve the *full* menus: the MILP's tie-breaking among
-        # equal-objective optima depends on the exact model, and only
-        # the full-menu solution matches the exhaustive search bit for
-        # bit. Cells screened out (worse than the threshold, or
-        # infeasible after the cut) are provably outside the top-k and
-        # keep the cheap answer. The relative margin absorbs float
-        # drift between the recomputed objectives of tied optima.
-        cut, removed = self._cut_menus(menus, gacc, threshold)
-        if removed == 0:
-            return _solve(menus), counts
-        screened = _solve(cut)
-        if screened is not None and \
-                screened.objective <= threshold * (1.0 + 1e-6):
-            return _solve(menus), counts
-        return screened, counts
+        if math.isfinite(threshold):
+            menus = self._cut_menus(menus, gacc, threshold)
+        solution = inter_stage.solve(
+            menus, self.model.num_layers, gacc,
+            imbalance_aware=self.space.imbalance_aware,
+        )
+        return solution, counts

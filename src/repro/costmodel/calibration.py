@@ -15,7 +15,8 @@ The fit runs offline: its result is committed as data in
 ``calibration.json`` (one table per fabric) by
 ``scripts/refresh_calibration.py``, and solves load that table rather
 than refitting. A refit must reproduce it bit for bit
-(``tests/costmodel/test_calibration_table.py``).
+(``tests/costmodel/test_calibration_table.py``). The fit needs scipy,
+a development dependency, and imports it only when it runs.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from pathlib import Path
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy import optimize
 
 from .interference import CHANNELS, InterferenceModel
 
@@ -77,7 +77,13 @@ def sample_corun_workloads(n_samples: int = 256, *, seed: int = 0,
 def fit_interference_model(oracle: Oracle, *, pcie_only: bool,
                            n_samples: int = 256, seed: int = 0,
                            scale: float = 10e-3) -> CalibrationResult:
-    """Fit pairwise slowdown factors against ``oracle`` measurements."""
+    """Fit pairwise slowdown factors against ``oracle`` measurements.
+
+    Offline only: scipy is imported here, so loading the committed
+    table never pays for it.
+    """
+    from scipy import optimize
+
     workloads = sample_corun_workloads(n_samples, seed=seed, scale=scale)
     measured = np.asarray(oracle(workloads), dtype=float)
     if measured.shape != (n_samples,):

@@ -1,13 +1,17 @@
-"""Reference oracles for the tuner's two exactness claims.
+"""Reference oracles for the tuner's three exactness claims.
 
-Mist's tuner rests on two claims, and each has a slow oracle here:
+Mist's tuner rests on three claims, and each has a slow oracle here:
 
 * batched symbolic evaluation (§5.2) prices a config menu exactly like
   evaluating it one configuration at a time — :func:`interpreted`
   returns a copy of a tuner whose analyzers evaluate every compiled
   bundle row by row through :func:`interpret`;
 * the pruned hierarchical search (§5.3, Fig. 16) returns the same plans
-  as solving every (S, G) cell — :func:`exhaustive_search`.
+  as solving every (S, G) cell — :func:`exhaustive_search`;
+* the inter-stage DP (:func:`repro.core.inter_stage.solve`) finds the
+  optimum of Eq. (2) — :func:`solve_milp`, the HiGHS MILP the paper's
+  off-the-shelf route takes, and :func:`solve_exact`, enumeration with
+  the same tie rule as the DP.
 
 Both are deliberately slow and exist so the differential tests and
 ``repro bench`` can hold the production path to bit-identity. Nothing
@@ -23,19 +27,22 @@ thing: the search strategy, or the evaluation path.
 from __future__ import annotations
 
 import copy
+import itertools
 import time
 from typing import Any
 
 import numpy as np
 
 from repro.core import inter_stage
+from repro.core.inter_stage import InterStageSolution, Menus
 from repro.core.intra_stage import IntraStageTuner
+from repro.core.objectives import pipeline_iteration_time
 from repro.core.plan import TrainingPlan
 from repro.core.tuner import MistTuner, SearchStats, TuningResult
 from repro.symbolic import CompiledExpr, EvaluationError, evaluate
 
 __all__ = ["INTERPRETED_SCOPE", "exhaustive_search", "interpret",
-           "interpreted"]
+           "interpreted", "solve_exact", "solve_milp"]
 
 #: memo-scope tag of :func:`interpreted` tuners: their menus never share
 #: :class:`~repro.core.memo.MenuMemo` entries with the production path,
@@ -191,3 +198,129 @@ def exhaustive_search(tuner: MistTuner, global_batch: int, *,
     )
     return tuner._result(candidates, global_batch, start, evaluated,
                          search_log, keep_top, stats)
+
+
+def solve_exact(menus: Menus, total_layers: int, gacc: int,
+                imbalance_aware: bool = True) -> InterStageSolution | None:
+    """Eq. (2) by exhaustive enumeration (exponential; tiny instances).
+
+    Scores every assignment with :func:`pipeline_iteration_time` and
+    keeps the first strict minimum in menu order — the tie rule
+    :func:`repro.core.inter_stage.solve` states.
+    """
+    options = inter_stage._flatten(menus, imbalance_aware)
+    if not options or any(not stage for stage in options):
+        return None
+    best: InterStageSolution | None = None
+    for combo in itertools.product(*options):
+        if sum(opt.layers for opt in combo) != total_layers:
+            continue
+        objective = pipeline_iteration_time(
+            [opt.t for opt in combo], [opt.d for opt in combo], gacc)
+        if best is None or objective < best.objective:
+            best = InterStageSolution(
+                objective=objective, choices=[opt.point for opt in combo])
+    return best
+
+
+def solve_milp(menus: Menus, total_layers: int, gacc: int,
+               imbalance_aware: bool = True,
+               time_limit: float = 30.0) -> InterStageSolution | None:
+    """Eq. (2) as a binary MILP solved by HiGHS (needs scipy).
+
+    Variables: ``x[i, o]`` (stage ``i`` picks option ``o``), plus the
+    bottleneck time ``T`` and the exposed-delta bound ``Z``; both max
+    terms linearize as ``>=`` constraints. Among tied optima HiGHS
+    returns whichever its search reaches first, so compare objectives,
+    not choices. scipy is imported here, not at module load: ``repro
+    bench`` imports this module and must run without it.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import lil_matrix
+
+    options = inter_stage._flatten(menus, imbalance_aware)
+    if not options or any(not stage for stage in options):
+        return None
+    num_stages = len(options)
+    offsets = np.cumsum([0] + [len(stage) for stage in options])
+    n_x = int(offsets[-1])
+    n_vars = n_x + 2  # + T, Z
+    iT, iZ = n_x, n_x + 1
+
+    flat = [opt for stage in options for opt in stage]
+    t_coef = np.array([opt.t for opt in flat])
+    d_coef = np.array([opt.d for opt in flat])
+    l_coef = np.array([opt.layers for opt in flat], dtype=float)
+
+    # objective: (G-1) T + sum_i t_i + Z
+    c = np.zeros(n_vars)
+    c[:n_x] = t_coef
+    c[iT] = gacc - 1
+    c[iZ] = 1.0
+
+    constraints = []
+
+    # one option per stage
+    a_pick = lil_matrix((num_stages, n_vars))
+    for i in range(num_stages):
+        a_pick[i, offsets[i]:offsets[i + 1]] = 1.0
+    constraints.append(LinearConstraint(a_pick.tocsr(), 1.0, 1.0))
+
+    # layer counts sum to the model depth
+    a_layers = lil_matrix((1, n_vars))
+    a_layers[0, :n_x] = l_coef
+    constraints.append(
+        LinearConstraint(a_layers.tocsr(), total_layers, total_layers)
+    )
+
+    # T >= t_i for every stage
+    a_bottleneck = lil_matrix((num_stages, n_vars))
+    for i in range(num_stages):
+        a_bottleneck[i, offsets[i]:offsets[i + 1]] = -t_coef[
+            offsets[i]:offsets[i + 1]
+        ]
+        a_bottleneck[i, iT] = 1.0
+    constraints.append(LinearConstraint(a_bottleneck.tocsr(), 0.0, np.inf))
+
+    # Z >= d_i - sum_{j<i} t_j for every stage
+    a_delta = lil_matrix((num_stages, n_vars))
+    for i in range(num_stages):
+        a_delta[i, offsets[i]:offsets[i + 1]] = -d_coef[
+            offsets[i]:offsets[i + 1]
+        ]
+        for j in range(i):
+            a_delta[i, offsets[j]:offsets[j + 1]] = t_coef[
+                offsets[j]:offsets[j + 1]
+            ]
+        a_delta[i, iZ] = 1.0
+    constraints.append(LinearConstraint(a_delta.tocsr(), 0.0, np.inf))
+
+    integrality = np.concatenate([np.ones(n_x), np.zeros(2)])
+    bounds = Bounds(
+        lb=np.zeros(n_vars),
+        ub=np.concatenate([np.ones(n_x), [np.inf, np.inf]]),
+    )
+
+    result = milp(
+        c=c,
+        constraints=constraints,
+        integrality=integrality,
+        bounds=bounds,
+        options={"time_limit": time_limit, "presolve": True},
+    )
+    if not result.success or result.x is None:
+        return None
+
+    choices = []
+    for i in range(num_stages):
+        slice_x = result.x[offsets[i]:offsets[i + 1]]
+        picked = int(np.argmax(slice_x))
+        if slice_x[picked] < 0.5:
+            return None  # infeasible relaxation artefact
+        choices.append(options[i][picked])
+
+    # Recompute the objective exactly (guards against MILP tolerance).
+    objective = pipeline_iteration_time(
+        [opt.t for opt in choices], [opt.d for opt in choices], gacc)
+    return InterStageSolution(objective=objective,
+                              choices=[opt.point for opt in choices])

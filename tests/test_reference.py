@@ -54,6 +54,39 @@ def test_production_imports_do_not_load_reference():
     assert out == "False"
 
 
+def test_production_solve_never_loads_scipy():
+    # a quick-scale job whose search solves a cell of more than 2,000
+    # stage combinations: the size at which the solver once switched
+    # to HiGHS
+    script = """
+import math, sys
+import repro.api, repro.cli, repro.service
+from repro.core import inter_stage
+largest = 0
+real = inter_stage.solve
+def sized(menus, *args, **kwargs):
+    global largest
+    largest = max(largest, math.prod(
+        sum(len(points) for points in menu.values()) for menu in menus))
+    return real(menus, *args, **kwargs)
+inter_stage.solve = sized
+job = repro.api.TuningJob(model="gpt3-2.7b", gpu="L4", num_gpus=4,
+                          global_batch=32, scale="quick")
+assert repro.api.solve(job, "mist").plan is not None
+loaded = sorted(name for name in sys.modules
+                if name == "scipy" or name.startswith("scipy."))
+print(largest, loaded)
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", script], check=True, capture_output=True,
+        text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    ).stdout.split(maxsplit=1)
+    assert int(out[0]) > 2000
+    assert out[1].strip() == "[]"
+
+
 def test_exhaustive_search_solves_each_cell_through_the_module(
         monkeypatch):
     tuner = _make_tuner()
